@@ -241,10 +241,13 @@ def _error_patterns(n: int, max_weight: int):
             yield e
 
 
-def cmd_exhaust(args) -> int:
+def cmd_exhaust(args, parser) -> int:
+    if args.samples < 0:
+        parser.error(f"--samples must be >= 0, got {args.samples}")
     ctx = _context(args.code)
     code = ctx.binary_code
-    table = CosetTable(code, max_weight=max(args.max_weight, 3))
+    table = (CosetTable(code, max_weight=max(args.max_weight, 3))
+             if args.oracle else None)
     words = [0] + [code.encode(_trial_rng(args.seed, t).getrandbits(code.k))
                    for t in range(args.samples)]
     patterns = list(_error_patterns(ctx.n, args.max_weight))
@@ -280,8 +283,12 @@ def cmd_exhaust(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, parser) -> int:
+    if args.trials < 0:
+        parser.error(f"--trials must be >= 0, got {args.trials}")
     ctx = _context(args.code)
+    if not 0 <= args.weight <= ctx.n:
+        parser.error(f"--weight must be in 0..{ctx.n}, got {args.weight}")
     code = ctx.binary_code
     successes = failures = miscorrections = 0
     elapsed = 0.0
@@ -376,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         "mindist": lambda: cmd_mindist(args),
         "encode": lambda: cmd_encode(args, parser),
         "decode": lambda: cmd_decode(args, parser),
-        "exhaust": lambda: cmd_exhaust(args),
-        "simulate": lambda: cmd_simulate(args),
+        "exhaust": lambda: cmd_exhaust(args, parser),
+        "simulate": lambda: cmd_simulate(args, parser),
     }
     return handlers[args.command]()
 

@@ -40,6 +40,7 @@ delta that contradicts the branch - is a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import gf4
 from .bitlin import BinaryLinearCode
@@ -64,13 +65,90 @@ class DecodeTrace:
     error_weight: int
 
 
-@dataclass(frozen=True)
 class DecodeOutcome:
-    ok: bool
-    codeword: int | None = None
-    error: int | None = None
-    trace: DecodeTrace | None = None
-    reason: str | None = None
+    """The read-only result of a decode.
+
+    A successful ``decode`` keeps the raw values it computed and builds
+    ``trace`` from them on first read; refusals are shared objects, one
+    per reason, with ``trace`` None."""
+
+    __slots__ = ("_ok", "_codeword", "_error", "_trace", "_reason", "_raw")
+
+    def __init__(self, ok: bool, codeword: int | None = None,
+                 error: int | None = None, trace: DecodeTrace | None = None,
+                 reason: str | None = None):
+        self._ok = ok
+        self._codeword = codeword
+        self._error = error
+        self._trace = trace
+        self._reason = reason
+        self._raw = None
+
+    ok = property(attrgetter("_ok"))
+    codeword = property(attrgetter("_codeword"))
+    error = property(attrgetter("_error"))
+    reason = property(attrgetter("_reason"))
+
+    @property
+    def trace(self) -> DecodeTrace | None:
+        """How the decode arrived at its answer; None for a refusal."""
+        raw = self._raw
+        if raw is not None:
+            self._trace = _build_trace(self._codeword ^ self._error,
+                                       self._error, *raw)
+            self._raw = None
+        return self._trace
+
+    def _fields(self) -> tuple:
+        return (self.ok, self.codeword, self.error, self.trace, self.reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("DecodeOutcome(ok={!r}, codeword={!r}, error={!r}, "
+                "trace={!r}, reason={!r})".format(*self._fields()))
+
+
+_REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
+_REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
+
+
+def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
+    """A successful outcome whose trace ``_build_trace`` makes from ``raw``
+    on first read; set slot by slot, which is cheaper than ``__init__``."""
+    out = object.__new__(DecodeOutcome)
+    out._ok = True
+    out._codeword = codeword
+    out._error = error
+    out._trace = None
+    out._reason = None
+    out._raw = raw
+    return out
+
+
+def _build_trace(received: int, error: int, info: tuple, f: int, s8: int,
+                 branch: str, cols: tuple[int, ...]) -> DecodeTrace:
+    """The trace of a decode from the values it kept: the parity-pattern
+    entry of ``_col_info``, first-row parity, packed syndrome, branch and
+    the repaired columns in the order the branch planned them."""
+    pars, y_odd, y_even, p = info[:4]
+    m = len(pars)
+    corrections = []
+    for c in cols:
+        shift = 4 * (m - c)
+        old = (received >> shift) & 15
+        corrections.append((c, old, old ^ ((error >> shift) & 15)))
+    profile = ParityProfile(column_parities=pars, first_row_parity=f,
+                            y_odd=y_odd, y_even=y_even, p=p)
+    return DecodeTrace(profile=profile, syndrome=_unpack_syndrome(s8),
+                       branch=branch, corrections=tuple(corrections),
+                       error_weight=error.bit_count())
 
 
 class DecoderContext:
@@ -112,9 +190,11 @@ class DecoderContext:
             s ^= table[(word >> (8 * b)) & 255]
         return s
 
-    def _col_info(self, word: int):
-        """(column parity bits, y_odd, p, majority, minority cols) cached
-        on the parity pattern."""
+    def _col_info(self, word: int) -> tuple:
+        """What decode needs of the word's column parities, cached on the
+        parity pattern: (column parities, y_odd, y_even, p, majority parity
+        pi (None on a tie), expected first-row parity rho, minority
+        columns, pair table of the last two minority columns or None)."""
         t = word ^ (word >> 2)
         colbits = (t ^ (t >> 1)) & self.col_parity_mask
         info = self._profiles.get(colbits)
@@ -127,11 +207,15 @@ class DecoderContext:
                 majority = None
             else:
                 majority = 1 if y_odd > y_even else 0
+            rho = majority if self.variant is Variant.O else 0
             pars = tuple((colbits >> (4 * (m - i))) & 1
                          for i in range(1, m + 1))
             minority = tuple(i for i, par in enumerate(pars, 1)
                              if par != majority)
-            info = (pars, y_odd, y_even, p, majority, minority)
+            pair = None
+            if majority is not None and p in (2, 3):
+                pair = self.c4._pair_table(*minority[-2:])
+            info = (pars, y_odd, y_even, p, majority, rho, minority, pair)
             self._profiles[colbits] = info
         return info
 
@@ -155,139 +239,119 @@ def apply_column_correction(arr: CodewordArray, i: int, value: int,
                                            (old >> 3) ^ delta))
 
 
-def _fail(reason: str) -> DecodeOutcome:
-    return DecodeOutcome(ok=False, reason=reason)
+def _repair(word: int, m: int, i: int, e: int, pi: int,
+            first_flip: int) -> int:
+    """Error bits that move column i of ``word`` to the candidate whose
+    projection is shifted by e, with parity pi and the first bit flipped
+    by ``first_flip``."""
+    shift = 4 * (m - i)
+    old = (word >> shift) & 15
+    new = select_candidate(NIBBLE_VALUE[old] ^ e, pi, (old >> 3) ^ first_flip)
+    return (old ^ new) << shift
 
 
 def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     """Bounded-distance projection decoding of a length-n word."""
-    n, m = ctx.n, ctx.m
-    if received >> n:
-        raise ValueError(f"word does not fit in {n} bits")
-    pars, y_odd, y_even, p, majority, minority = ctx._col_info(received)
-    if p > 3 or majority is None:
-        return _fail(FAIL_PARITY)
-    pi = majority
-    rho = pi if ctx.variant is Variant.O else 0
+    m = ctx.m
+    if received >> ctx.n:
+        raise ValueError(f"word does not fit in {ctx.n} bits")
+    info = ctx._col_info(received)
+    _, _, _, p, pi, rho, minority, pair = info
+    if p > 3 or pi is None:
+        return _REFUSED_PARITY
     f = (received & ctx.first_row_mask).bit_count() & 1
     delta = f ^ rho
     s8 = ctx.syndrome_packed(received)
     single = ctx.c4._single
-    colmul = ctx.c4._colmul
 
-    # corrections: (column, new nibble) after the forced/free first-bit
-    # bookkeeping described in the module docstring
-    def col(i: int) -> int:
-        return (received >> (4 * (m - i))) & 15
-
-    def candidate(i: int, e: int, first_flip: int) -> tuple[int, int]:
-        old = col(i)
-        value = NIBBLE_VALUE[old] ^ e
-        return i, select_candidate(value, pi, (old >> 3) ^ first_flip)
-
-    plan: list[tuple[int, int]] = []
+    # diff collects the error bits of every repaired column; cols lists
+    # those columns in the order the branch plans them, for the trace
     if p == 0:
         if s8 == 0:
             if delta:
-                return _fail(FAIL_UNCORRECTABLE)
-            branch = "a.i"
+                return _REFUSED_UNCORRECTABLE
+            branch, cols, diff = "a.i", (), 0
         else:
             hit = single.get(s8)
             if hit is None:
-                return _fail(FAIL_UNCORRECTABLE)
-            branch = "a.ii"
-            plan.append(candidate(hit[0], hit[1], delta))
+                return _REFUSED_UNCORRECTABLE
+            branch, cols = "a.ii", hit[:1]
+            diff = _repair(received, m, hit[0], hit[1], pi, delta)
     elif p == 1:
         i = minority[0]
+        cols = minority
         if s8 == 0:
             if delta:
-                branch = "b.i.1"
-                plan.append((i, col(i) ^ 0b1000))
+                branch, diff = "b.i.1", 0b1000 << 4 * (m - i)
             else:
-                branch = "b.i.2"
-                plan.append((i, col(i) ^ 0b0111))
+                branch, diff = "b.i.2", 0b0111 << 4 * (m - i)
         else:
             hit = single.get(s8)
             if hit is not None and hit[0] == i:
                 branch = "b.ii"
-                plan.append(candidate(i, hit[1], delta))
+                diff = _repair(received, m, i, hit[1], pi, delta)
             elif hit is not None:
-                branch = "b.iii"
-                plan.append((i, col(i) ^ 0b1000))
-                plan.append(candidate(hit[0], hit[1], delta ^ 1))
+                branch, cols = "b.iii", (i, hit[0])
+                diff = (0b1000 << 4 * (m - i)) | _repair(
+                    received, m, hit[0], hit[1], pi, delta ^ 1)
             else:
-                ci = colmul[i]
+                ci = ctx.c4._colmul[i]
                 for e_i in gf4.NONZERO:
                     hit = single.get(s8 ^ ci[e_i])
                     if hit is not None:
                         break
                 else:
-                    return _fail(FAIL_UNCORRECTABLE)
-                branch = "b.iv"
-                plan.append(candidate(i, e_i, 0))
-                plan.append(candidate(hit[0], hit[1], delta))
+                    return _REFUSED_UNCORRECTABLE
+                branch, cols = "b.iv", (i, hit[0])
+                diff = (_repair(received, m, i, e_i, pi, 0)
+                        | _repair(received, m, hit[0], hit[1], pi, delta))
     elif p == 2:
-        i, j = minority
+        i, j = cols = minority
         if s8 == 0:
             if delta:
-                return _fail(FAIL_UNCORRECTABLE)
+                return _REFUSED_UNCORRECTABLE
             branch = "c.i"
-            plan.append((i, col(i) ^ 0b1000))
-            plan.append((j, col(j) ^ 0b1000))
+            diff = (0b1000 << 4 * (m - i)) | (0b1000 << 4 * (m - j))
         else:
             hit = single.get(s8)
-            if hit is not None and hit[0] in (i, j):
+            if hit is not None and hit[0] in minority:
                 if not delta:
-                    return _fail(FAIL_UNCORRECTABLE)
-                branch = "c.ii"
+                    return _REFUSED_UNCORRECTABLE
                 other = j if hit[0] == i else i
-                plan.append(candidate(hit[0], hit[1], 0))
-                plan.append((other, col(other) ^ 0b1000))
+                branch, cols = "c.ii", (hit[0], other)
+                diff = (_repair(received, m, hit[0], hit[1], pi, 0)
+                        | 0b1000 << 4 * (m - other))
             else:
                 if delta:
-                    return _fail(FAIL_UNCORRECTABLE)
-                sol = ctx.c4._pair_table(i, j).get(s8)
+                    return _REFUSED_UNCORRECTABLE
+                sol = pair.get(s8)
                 if sol is None or 0 in sol:
-                    return _fail(FAIL_UNCORRECTABLE)
+                    return _REFUSED_UNCORRECTABLE
                 branch = "c.iii"
-                plan.append(candidate(i, sol[0], 0))
-                plan.append(candidate(j, sol[1], 0))
+                diff = (_repair(received, m, i, sol[0], pi, 0)
+                        | _repair(received, m, j, sol[1], pi, 0))
     else:
-        i, j, k = minority
-        pair = ctx.c4._pair_table(j, k)
-        ci = colmul[i]
+        cols = minority
+        ci = ctx.c4._colmul[minority[0]]
         for e_i in gf4.ELEMENTS:
             hit = pair.get(s8 ^ ci[e_i])
             if hit is not None:
                 break
         else:
-            return _fail(FAIL_UNCORRECTABLE)
-        coeffs = ((i, e_i), (j, hit[0]), (k, hit[1]))
-        zeros = sum(1 for _, e in coeffs if e == 0)
+            return _REFUSED_UNCORRECTABLE
+        coeffs = (e_i, *hit)
+        zeros = coeffs.count(0)
         if (zeros & 1) != delta:
-            return _fail(FAIL_UNCORRECTABLE)
+            return _REFUSED_UNCORRECTABLE
         branch = ("d.iv", "d.iii", "d.ii", "d.i")[zeros]
-        for c, e in coeffs:
+        diff = 0
+        for c, e in zip(minority, coeffs):
             if e == 0:
-                plan.append((c, col(c) ^ 0b1000))
+                diff |= 0b1000 << 4 * (m - c)
             else:
-                plan.append(candidate(c, e, 0))
+                diff |= _repair(received, m, c, e, pi, 0)
 
-    diff = 0
-    for c, new in plan:
-        diff |= (col(c) ^ new) << (4 * (m - c))
     decoded = received ^ diff
-    weight = diff.bit_count()
-    if weight > 3 or decoded not in ctx.binary_code:
-        return _fail(FAIL_UNCORRECTABLE)
-
-    profile = ParityProfile(column_parities=pars, first_row_parity=f,
-                            y_odd=y_odd, y_even=y_even, p=p)
-    trace = DecodeTrace(
-        profile=profile,
-        syndrome=_unpack_syndrome(s8),
-        branch=branch,
-        corrections=tuple((c, col(c), new) for c, new in plan),
-        error_weight=weight,
-    )
-    return DecodeOutcome(ok=True, codeword=decoded, error=diff, trace=trace)
+    if diff.bit_count() > 3 or decoded not in ctx.binary_code:
+        return _REFUSED_UNCORRECTABLE
+    return _decoded(decoded, diff, (info, f, s8, branch, cols))

@@ -2,15 +2,18 @@
 
 Each test both asserts its criterion and records a PASS/FAIL line; the
 collected lines are echoed in a terminal section after the run, so the
-nine verdicts are visible even with output capture on.  The full suite
+ten verdicts are visible even with output capture on.  The full suite
 is sized to finish in a few minutes, dominated by criterion 6's
-exhaustive error sweep (about 7.4 million decode+oracle pairs).
+exhaustive error sweep (about 7.4 million decode+oracle pairs) and
+criterion 10's sweep over every coset of the four codes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable, code_equal, parse_matrix
@@ -20,7 +23,8 @@ from projcode.quaternary import c4_9, c4_10
 
 from conftest import (ACCEPTANCE_LINES, BINARY_IDS, BRANCH_ERRORS,
                       array_from_rows, plant)
-from golden import (DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
+from golden import (COSET_BRANCHES_O36, COSET_REFUSALS_O36,
+                    DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
                     QDIST_9, QDIST_10, WDIST_E36, WDIST_E40, WDIST_O36,
                     WDIST_O40)
 
@@ -186,3 +190,47 @@ def test_criterion_9_branch_coverage(contexts):
     ok = ok and seen == set(BRANCHES)
     report("criterion 9: planted error shapes hit every decoder branch",
            ok, f"{len(seen)}/{len(BRANCHES)} branches")
+
+
+def _coset_representatives(code: BinaryLinearCode) -> list[int]:
+    """The 2^(n-k) words supported on the non-pivot coordinates: the pivots
+    are an information set, so each coset holds exactly one of them."""
+    pivots = set(code._pivots)
+    reps = [0]
+    for c in range(code.n):
+        if c not in pivots:
+            bit = 1 << (code.n - 1 - c)
+            reps += [r | bit for r in reps]
+    return reps
+
+
+def test_criterion_10_every_coset(contexts):
+    # decode(y ^ c) == decode(y) ^ c for every codeword c, so one word per
+    # coset fixes the decoder's behaviour on all 2^n words
+    bad = []
+    decoded = {}
+    branches: Counter = Counter()
+    for code_id in BINARY_IDS:
+        ctx = contexts[code_id]
+        oracle = CosetTable(ctx.binary_code, max_weight=3).decode
+        reps = _coset_representatives(ctx.binary_code)
+        hits = mismatches = 0
+        for y in reps:
+            out = decode(ctx, y)
+            if (out.codeword if out.ok else None) != oracle(y):
+                mismatches += 1
+            if out.ok:
+                hits += 1
+                if code_id == "o36":
+                    branches[out.trace.branch] += 1
+        decoded[code_id] = hits
+        expected = sum(math.comb(ctx.n, w) for w in range(4))
+        if mismatches or hits != expected:
+            bad.append(code_id)
+        if code_id == "o36" and (len(reps) - hits != COSET_REFUSALS_O36
+                                 or dict(branches) != COSET_BRANCHES_O36):
+            bad.append("o36 histogram")
+    report("criterion 10: every coset of the four codes decodes exactly as "
+           "the coset-leader oracle, with the golden o36 branch table",
+           not bad, f"decoded {decoded}, o36 refused "
+           f"{COSET_REFUSALS_O36}" if not bad else f"wrong: {bad}")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from projcode import cli
 from projcode.bitlin import BinaryLinearCode, code_equal, format_bits, parse_matrix
 from projcode.cli import main
 from projcode.projection import from_array
@@ -177,7 +178,11 @@ def test_exhaust_small_sweep(capsys):
     assert payload["ok"] is True
 
 
-def test_exhaust_without_oracle(capsys):
+def test_exhaust_without_oracle(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("--no-oracle built a CosetTable")
+
+    monkeypatch.setattr(cli, "CosetTable", no_table)
     rv, out, _ = run(capsys, "exhaust", "e36", "--samples", "1",
                      "--max-weight", "1", "--json", "--no-oracle")
     assert rv == 0
@@ -231,3 +236,19 @@ def test_unknown_code_or_command(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "o36", "--weight", "37"], "--weight must be in 0..36"),
+    (["simulate", "o40", "--weight", "-1"], "--weight must be in 0..40"),
+    (["simulate", "e36", "--trials", "-3"], "--trials must be >= 0"),
+    (["exhaust", "e40", "--samples", "-3"], "--samples must be >= 0"),
+], ids=["weight-above-n", "weight-negative", "trials-negative",
+        "samples-negative"])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projcode import gf4
+from projcode import DecodeOutcome, gf4
 from projcode.bitlin import CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
                               apply_column_correction, decode)
@@ -214,3 +215,93 @@ def test_random_error_recovery(data):
     assert out.codeword == c
     assert out.error == error
     assert out.trace.error_weight == len(positions)
+
+
+# ---------------------------------------------------------------------------
+# equivariance: adding a codeword moves the answer by that codeword
+
+@functools.lru_cache(maxsize=None)
+def _odd_codeword(code_id: str) -> int:
+    """A codeword whose columns all have odd parity."""
+    ctx = _context(code_id)
+    return next(g for g in ctx.binary_code.generator
+                if (g & 15).bit_count() & 1)
+
+
+@given(st.data())
+def test_decode_commutes_with_codeword_shift(data):
+    code_id = data.draw(st.sampled_from(BINARY_IDS))
+    ctx = _context(code_id)
+    code = ctx.binary_code
+    # both column-parity classes: all-even and all-odd columns
+    c = code.encode(data.draw(st.integers(0, (1 << code.k) - 1)))
+    if (c & 15).bit_count() & 1 != data.draw(st.integers(0, 1)):
+        c ^= _odd_codeword(code_id)
+    # near a codeword (weights past 3 give refusals) or anywhere at all
+    near = code.encode(data.draw(st.integers(0, (1 << code.k) - 1)))
+    positions = data.draw(st.lists(st.integers(0, code.n - 1), unique=True,
+                                   max_size=5))
+    y = data.draw(st.one_of(
+        st.just(near ^ sum(1 << pos for pos in positions)),
+        st.integers(0, (1 << code.n) - 1)))
+    base, shifted = decode(ctx, y), decode(ctx, y ^ c)
+    assert (shifted.ok, shifted.reason) == (base.ok, base.reason)
+    if base.ok:
+        assert shifted.codeword == base.codeword ^ c
+        assert shifted.error == base.error
+        assert shifted.trace.branch == base.trace.branch
+        assert shifted.trace.syndrome == base.trace.syndrome
+        assert shifted.trace.profile.p == base.trace.profile.p
+
+
+# ---------------------------------------------------------------------------
+# the outcome contract
+
+OUTCOME_FIELDS = ("ok", "codeword", "error", "trace", "reason")
+
+
+@pytest.mark.parametrize("errors, reason", [
+    ([(i, 0b1000) for i in (1, 2, 3, 4)], FAIL_PARITY),
+    ([(2, 0b0110), (5, 0b0110)], FAIL_UNCORRECTABLE),
+])
+def test_refusals_are_shared_and_read_only(contexts, errors, reason):
+    ctx = contexts["o36"]
+    out = decode(ctx, plant(ctx, 0, errors))
+    again = decode(ctx, plant(ctx, ctx.binary_code.encode(777), errors))
+    assert again is out
+    assert (out.ok, out.codeword, out.error, out.trace, out.reason) \
+        == (False, None, None, None, reason)
+    for name in OUTCOME_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(out, name, 1)
+    assert out.reason == reason
+
+
+def test_outcome_and_trace_are_read_only(contexts):
+    ctx = contexts["e40"]
+    out = decode(ctx, plant(ctx, 0, [(2, 0b0100), (5, 0b0010)]))
+    assert out.ok
+    trace = out.trace
+    for name in OUTCOME_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(out, name, None)
+    for field in dataclasses.fields(trace):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, field.name, None)
+    assert out.trace == trace and out.trace.branch == "c.iii"
+
+
+def test_trace_reads_agree(contexts):
+    ctx = contexts["o40"]
+    received = plant(ctx, 0, [(3, 0b0010), (7, 0b1100)])
+    first, second = decode(ctx, received), decode(ctx, received)
+    assert first.trace == first.trace == second.trace
+    assert first == second and hash(first) == hash(second)
+
+
+def test_outcome_constructs_by_keyword():
+    out = DecodeOutcome(ok=False, reason=FAIL_UNCORRECTABLE)
+    assert (out.ok, out.codeword, out.error, out.trace, out.reason) \
+        == (False, None, None, None, FAIL_UNCORRECTABLE)
+    assert out == DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
+    assert "reason='uncorrectable'" in repr(out)
