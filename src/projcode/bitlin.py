@@ -146,7 +146,7 @@ def iter_span_chunks(rows: Sequence[int]) -> Iterator[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# syndrome helpers (shared by BinaryLinearCode and CosetTable)
+# syndrome helpers (shared by BinaryLinearCode, CosetTable and the decoder)
 
 def _unit_syndromes(parity_rows: Sequence[int], n: int) -> list[int]:
     """Syndrome of each unit vector, indexed by bit position (LSB = 0)."""
@@ -273,7 +273,6 @@ class CosetTable:
         self.max_weight = max_weight
         n = code.n
         unit = _unit_syndromes(code.parity_rows, n)
-        self._tables = _byte_tables(unit, n)
         # unit syndrome by 1-based coordinate (coordinate c is bit n-c)
         by_coord = [unit[n - c] for c in range(1, n + 1)]
         leaders: dict[int, int] = {0: 0}
@@ -288,16 +287,10 @@ class CosetTable:
                     leaders[s] = e
         self.leaders = leaders
 
-    def syndrome(self, word: int) -> int:
-        s = 0
-        for b, table in enumerate(self._tables):
-            s ^= table[(word >> (8 * b)) & 255]
-        return s
-
     def decode(self, word: int) -> int | None:
         """Nearest codeword by coset leader, or None if the syndrome is
         outside the table (word further than max_weight from the code)."""
-        leader = self.leaders.get(self.syndrome(word))
+        leader = self.leaders.get(self.code.syndrome(word))
         if leader is None:
             return None
         return word ^ leader

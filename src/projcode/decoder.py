@@ -5,36 +5,41 @@ reports failure (bounded-distance decoding; no maximum-likelihood
 fallback).  The received word is viewed as a 4 x m array.  Let p be the
 number of columns whose parity disagrees with the majority; since at most
 three columns can be hit, the majority parity is the parity pi of the
-transmitted word's columns.  The expected first-row parity rho is pi for
-construction O and even for construction E, so delta = observed first-row
-parity XOR rho tells how many first-row errors occurred (mod 2).
+transmitted word's columns, and the p minority columns M are exactly the
+columns holding an odd number of errors.  The expected first-row parity
+rho is pi for construction O and even for construction E, so delta =
+observed first-row parity XOR rho is the number of first-row errors mod 2.
 
-The syndrome s of the projected word then locates the non-first-row
-errors.  Branches, by p:
+The error in column c projects to a coefficient e_c, and the syndrome of
+the projected word is s = sum of e_c H_c.  One rule decodes every case:
 
-  p=0: a.i   s = 0, clean word
-       a.ii  s = e_i H_i: two errors in column i
-  p=1: b.i.1 s = 0, delta = 1: single error in the first entry of column i
-       b.i.2 s = 0, delta = 0: three errors in rows 2-4 of column i
-       b.ii  s = e_i H_i: one (delta=0) or three (delta=1) errors in col i
-       b.iii s = e_j H_j, j != i: two errors in column j, one first-entry
-             error in column i
-       b.iv  s = e_i H_i + e_j H_j, both nonzero: one non-first-row error
-             in column i plus two errors in column j
-  p=2: c.i   s = 0: first-entry errors in both minority columns
-       c.ii  s = e_i H_i: non-first-row error in minority column i,
-             first-entry error in the other minority column
-       c.iii s = e_i H_i + e_j H_j: non-first-row errors in both
-  p=3: d.i - d.iv: s = sum over the three minority columns, split by how
-       many coefficients are nonzero (zero coefficient = first-entry
-       error, nonzero = non-first-row error in that column)
+1. Solve s = sum of e_c H_c over M, plus at most one other column x when
+   p <= 1 (two errors in one even column).  The solution is unique because
+   any three columns of H are independent.  When p is odd the first
+   minority coefficient is searched; the rest is one lookup, in the pair
+   table of the last two minority columns when p >= 2 and in the
+   single-column table when p <= 1.
+2. Repair.  The error in each repaired column is ``select_candidate(e_c,
+   c in M, flip)``: it projects to e_c, is odd in a minority column and
+   even in x, and its first entry is flipped for a zero minority
+   coefficient (a lone first-entry error).  The last repaired column also
+   takes whatever first-row flip delta still owes, which swaps its error
+   for the complement within the column's coset.  A flip owed with no
+   column to take it, or an error of weight above 3, is a refusal.
+3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
+   letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
+   ... nonzero minority coefficients, continued past those p + 1 numerals
+   when x is used; b.i splits into b.i.1 (delta = 1) and b.i.2 (delta = 0).
 
-A corrected column is the unique coset member with the repaired value and
-majority parity whose first bit keeps the whole first row at parity rho
-(minority columns with a nonzero coefficient carry exactly one
-non-first-row error, so they keep their first bit and sit at distance 1).
-Any inconsistency - p > 3, a parity tie, an undecomposable syndrome, or a
-delta that contradicts the branch - is a failure.
+  p=0: a.i   clean word                a.ii  two errors in x
+  p=1: b.i.1 first entry of i          b.i.2 rows 2-4 of i
+       b.ii  one or three errors in i  b.iii first entry of i, two in x
+       b.iv  one error in i, two in x
+  p=2: c.i - c.iii  0 - 2 minority columns with a nonzero coefficient
+  p=3: d.i - d.iv   0 - 3 minority columns with a nonzero coefficient
+
+Refused besides: p > 3, a parity tie and an unsolvable syndrome.  A
+decoded word must also pass the code's membership check.
 """
 
 from __future__ import annotations
@@ -43,10 +48,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import gf4
-from .bitlin import BinaryLinearCode
-from .projection import (NIBBLE_VALUE, CodewordArray, ParityProfile, Variant,
-                         construct, select_candidate)
-from .quaternary import QuaternaryCode, _unpack_syndrome
+from .bitlin import BinaryLinearCode, _byte_tables, _unit_syndromes
+from .projection import (NIBBLE_VALUE, ParityProfile, Variant, construct,
+                         select_candidate)
+from .quaternary import QuaternaryCode
 
 FAIL_PARITY = "parity-inconsistent"
 FAIL_UNCORRECTABLE = "uncorrectable"
@@ -132,21 +137,33 @@ def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
     return out
 
 
-def _build_trace(received: int, error: int, info: tuple, f: int, s8: int,
-                 branch: str, cols: tuple[int, ...]) -> DecodeTrace:
+# the numeral of a branch label, by its index within the letter
+_NUMERALS = ("i", "ii", "iii", "iv")
+
+
+def _build_trace(received: int, error: int, info: tuple,
+                 s8: int) -> DecodeTrace:
     """The trace of a decode from the values it kept: the parity-pattern
-    entry of ``_col_info``, first-row parity, packed syndrome, branch and
-    the repaired columns in the order the branch planned them."""
-    pars, y_odd, y_even, p = info[:4]
+    entry of ``_col_info`` and the packed syndrome.  The repaired columns
+    and the branch label are read back from the error."""
+    pars, p, _, rho, minority = info[:5]
     m = len(pars)
+    y_odd = sum(pars)
+    f = (received & int("1000" * m, 2)).bit_count() & 1
+    nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
+    other = tuple(c for c in range(1, m + 1)
+                  if nibbles[c] and c not in minority)
+    nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
+    branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
+    if branch == "b.i":
+        branch += ".1" if f ^ rho else ".2"
     corrections = []
-    for c in cols:
-        shift = 4 * (m - c)
-        old = (received >> shift) & 15
-        corrections.append((c, old, old ^ ((error >> shift) & 15)))
+    for c in minority + other:
+        old = (received >> 4 * (m - c)) & 15
+        corrections.append((c, old, old ^ nibbles[c]))
     profile = ParityProfile(column_parities=pars, first_row_parity=f,
-                            y_odd=y_odd, y_even=y_even, p=p)
-    return DecodeTrace(profile=profile, syndrome=_unpack_syndrome(s8),
+                            y_odd=y_odd, y_even=m - y_odd, p=p)
+    return DecodeTrace(profile=profile, syndrome=gf4.unpack(s8, 4),
                        branch=branch, corrections=tuple(corrections),
                        error_weight=error.bit_count())
 
@@ -163,25 +180,14 @@ class DecoderContext:
         self.n = 4 * m
         self.first_row_mask = int("1000" * m, 2)
         self.col_parity_mask = int("0001" * m, 2)
-        # packed GF(4) syndrome of the projection, one table per byte of
-        # the received word: bit q (LSB order) is row (n-q-1) % 4 ... of
-        # column ceil((n-q)/4); rows 2-4 contribute label * H_col.
-        unit = [0] * self.n
-        for q in range(self.n):
-            coord = self.n - q
-            col = (coord + 3) // 4
-            label = (0, gf4.ONE, gf4.OMEGA, gf4.OMEGA_BAR)[(coord - 1) % 4]
-            if label:
-                unit[q] = c4._colmul[col][label]
-        tables = []
-        for b in range((self.n + 7) // 8):
-            t = [0] * 256
-            for v in range(1, 256):
-                low = v & -v
-                q = 8 * b + low.bit_length() - 1
-                t[v] = t[v ^ low] ^ (unit[q] if q < self.n else 0)
-            tables.append(t)
-        self._synd_tables = tables
+        # one table per byte of the received word for the packed syndrome
+        # of its projection; bit j of the syndrome is the parity of mask
+        # 7 - j
+        self._synd_tables = _byte_tables(
+            _unit_syndromes(c4.syndrome_masks[::-1], self.n), self.n)
+        # (coefficient, packed multiple) pairs of each column, shared by the
+        # parity patterns whose first minority column it is
+        self._multiples = [tuple(enumerate(row)) for row in c4.colmul]
         self._profiles: dict[int, tuple] = {}
 
     def syndrome_packed(self, word: int) -> int:
@@ -192,9 +198,12 @@ class DecoderContext:
 
     def _col_info(self, word: int) -> tuple:
         """What decode needs of the word's column parities, cached on the
-        parity pattern: (column parities, y_odd, y_even, p, majority parity
-        pi (None on a tie), expected first-row parity rho, minority
-        columns, pair table of the last two minority columns or None)."""
+        parity pattern: (column parities, p, majority parity pi (None on a
+        tie), expected first-row parity rho, minority columns, search,
+        table).  ``search`` pairs each coefficient of the first minority
+        column with its packed syndrome multiple when p is odd and is
+        ((0, 0),) otherwise; ``table`` is the pair table of the last two
+        minority columns when p >= 2, else the single-column table."""
         t = word ^ (word >> 2)
         colbits = (t ^ (t >> 1)) & self.col_parity_mask
         info = self._profiles.get(colbits)
@@ -212,42 +221,15 @@ class DecoderContext:
                          for i in range(1, m + 1))
             minority = tuple(i for i, par in enumerate(pars, 1)
                              if par != majority)
-            pair = None
-            if majority is not None and p in (2, 3):
-                pair = self.c4._pair_table(*minority[-2:])
-            info = (pars, y_odd, y_even, p, majority, rho, minority, pair)
+            search, table = ((0, 0),), self.c4.single
+            if majority is not None and p <= 3:
+                if p & 1:
+                    search = self._multiples[minority[0]]
+                if p >= 2:
+                    table = self.c4.pair_table(*minority[-2:])
+            info = (pars, p, majority, rho, minority, search, table)
             self._profiles[colbits] = info
         return info
-
-    def column_of(self, word: int, i: int) -> int:
-        return (word >> (4 * (self.m - i))) & 15
-
-
-def apply_column_correction(arr: CodewordArray, i: int, value: int,
-                            target_parity: int,
-                            expected_first_row_parity: int) -> CodewordArray:
-    """Replace column i with the coset member of ``value`` and
-    ``target_parity`` whose first bit brings the array's first row to
-    ``expected_first_row_parity`` (other planned corrections are the
-    caller's business)."""
-    first = 0
-    for nib in arr.columns:
-        first ^= nib >> 3
-    old = arr.column(i)
-    delta = first ^ expected_first_row_parity
-    return arr.replace(i, select_candidate(value, target_parity,
-                                           (old >> 3) ^ delta))
-
-
-def _repair(word: int, m: int, i: int, e: int, pi: int,
-            first_flip: int) -> int:
-    """Error bits that move column i of ``word`` to the candidate whose
-    projection is shifted by e, with parity pi and the first bit flipped
-    by ``first_flip``."""
-    shift = 4 * (m - i)
-    old = (word >> shift) & 15
-    new = select_candidate(NIBBLE_VALUE[old] ^ e, pi, (old >> 3) ^ first_flip)
-    return (old ^ new) << shift
 
 
 def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
@@ -256,102 +238,46 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     if received >> ctx.n:
         raise ValueError(f"word does not fit in {ctx.n} bits")
     info = ctx._col_info(received)
-    _, _, _, p, pi, rho, minority, pair = info
+    _, p, pi, rho, minority, search, table = info
     if p > 3 or pi is None:
         return _REFUSED_PARITY
-    f = (received & ctx.first_row_mask).bit_count() & 1
-    delta = f ^ rho
     s8 = ctx.syndrome_packed(received)
-    single = ctx.c4._single
 
-    # diff collects the error bits of every repaired column; cols lists
-    # those columns in the order the branch plans them, for the trace
-    if p == 0:
-        if s8 == 0:
-            if delta:
-                return _REFUSED_UNCORRECTABLE
-            branch, cols, diff = "a.i", (), 0
-        else:
-            hit = single.get(s8)
-            if hit is None:
-                return _REFUSED_UNCORRECTABLE
-            branch, cols = "a.ii", hit[:1]
-            diff = _repair(received, m, hit[0], hit[1], pi, delta)
-    elif p == 1:
-        i = minority[0]
-        cols = minority
-        if s8 == 0:
-            if delta:
-                branch, diff = "b.i.1", 0b1000 << 4 * (m - i)
-            else:
-                branch, diff = "b.i.2", 0b0111 << 4 * (m - i)
-        else:
-            hit = single.get(s8)
-            if hit is not None and hit[0] == i:
-                branch = "b.ii"
-                diff = _repair(received, m, i, hit[1], pi, delta)
-            elif hit is not None:
-                branch, cols = "b.iii", (i, hit[0])
-                diff = (0b1000 << 4 * (m - i)) | _repair(
-                    received, m, hit[0], hit[1], pi, delta ^ 1)
-            else:
-                ci = ctx.c4._colmul[i]
-                for e_i in gf4.NONZERO:
-                    hit = single.get(s8 ^ ci[e_i])
-                    if hit is not None:
-                        break
-                else:
-                    return _REFUSED_UNCORRECTABLE
-                branch, cols = "b.iv", (i, hit[0])
-                diff = (_repair(received, m, i, e_i, pi, 0)
-                        | _repair(received, m, hit[0], hit[1], pi, delta))
-    elif p == 2:
-        i, j = cols = minority
-        if s8 == 0:
-            if delta:
-                return _REFUSED_UNCORRECTABLE
-            branch = "c.i"
-            diff = (0b1000 << 4 * (m - i)) | (0b1000 << 4 * (m - j))
-        else:
-            hit = single.get(s8)
-            if hit is not None and hit[0] in minority:
-                if not delta:
-                    return _REFUSED_UNCORRECTABLE
-                other = j if hit[0] == i else i
-                branch, cols = "c.ii", (hit[0], other)
-                diff = (_repair(received, m, hit[0], hit[1], pi, 0)
-                        | 0b1000 << 4 * (m - other))
-            else:
-                if delta:
-                    return _REFUSED_UNCORRECTABLE
-                sol = pair.get(s8)
-                if sol is None or 0 in sol:
-                    return _REFUSED_UNCORRECTABLE
-                branch = "c.iii"
-                diff = (_repair(received, m, i, sol[0], pi, 0)
-                        | _repair(received, m, j, sol[1], pi, 0))
-    else:
-        cols = minority
-        ci = ctx.c4._colmul[minority[0]]
-        for e_i in gf4.ELEMENTS:
-            hit = pair.get(s8 ^ ci[e_i])
+    # 1. solve: the coefficients of the minority columns, then that of the
+    #    other column when one is used
+    for e, shift in search:
+        rest = s8 ^ shift
+        if p >= 2:
+            hit = table.get(rest)
             if hit is not None:
+                cols, coeffs = minority, (e, *hit)[-p:]
                 break
+        elif not rest:
+            cols, coeffs = minority, (e,) * p
+            break
         else:
+            hit = table.get(rest)
+            if hit is not None and hit[0] not in minority:
+                cols, coeffs = minority + hit[:1], (e,) * p + hit[1:]
+                break
+    else:
+        return _REFUSED_UNCORRECTABLE
+
+    # 2. repair: column t of cols is odd (a minority column) when t < p
+    diff = 0
+    t = 0
+    for c in cols:
+        e = coeffs[t]
+        odd = t < p
+        diff |= select_candidate(e, odd, odd and not e) << 4 * (m - c)
+        t += 1
+    # the last repaired column takes the first-row flip still owed
+    if (((received ^ diff) & ctx.first_row_mask).bit_count() ^ rho) & 1:
+        if not cols:
             return _REFUSED_UNCORRECTABLE
-        coeffs = (e_i, *hit)
-        zeros = coeffs.count(0)
-        if (zeros & 1) != delta:
-            return _REFUSED_UNCORRECTABLE
-        branch = ("d.iv", "d.iii", "d.ii", "d.i")[zeros]
-        diff = 0
-        for c, e in zip(minority, coeffs):
-            if e == 0:
-                diff |= 0b1000 << 4 * (m - c)
-            else:
-                diff |= _repair(received, m, c, e, pi, 0)
+        diff ^= 0b1111 << 4 * (m - cols[-1])
 
     decoded = received ^ diff
     if diff.bit_count() > 3 or decoded not in ctx.binary_code:
         return _REFUSED_UNCORRECTABLE
-    return _decoded(decoded, diff, (info, f, s8, branch, cols))
+    return _decoded(decoded, diff, (info, s8))

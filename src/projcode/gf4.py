@@ -2,7 +2,7 @@
 
 Elements are plain ints 0..3 with the encoding 0 -> 00, 1 -> 01, w -> 10,
 W -> 11, where w is a primitive element and W = w^2 = w + 1 its conjugate.
-Addition is then bitwise XOR and conjugation swaps w and W.
+Addition is then bitwise XOR.
 
 Vectors are tuples of ints.  ``pack``/``unpack`` convert to a single int
 (two bits per symbol, first symbol in the highest bits) so that vector
@@ -29,8 +29,6 @@ _MUL = (
     (0, 3, 1, 2),
 )
 
-_CONJ = (0, 1, 3, 2)
-
 _SYMBOLS = "01wW"
 _FROM_SYMBOL = {"0": 0, "1": 1, "w": 2, "W": 3}
 
@@ -44,37 +42,10 @@ def mul(a: int, b: int) -> int:
     return _MUL[a][b]
 
 
-def conj(a: int) -> int:
-    """Conjugation a -> a^2 (fixes 0 and 1, swaps w and W)."""
-    return _CONJ[a]
-
-
-def vadd(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise sum of two equal-length vectors."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return tuple(a ^ b for a, b in zip(x, y))
-
-
 def scale(c: int, x: Sequence[int]) -> tuple[int, ...]:
     """Scalar multiple c*x."""
     row = _MUL[c]
     return tuple(row[a] for a in x)
-
-
-def weight(x: Iterable[int]) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for a in x if a)
-
-
-def hermitian_inner(x: Sequence[int], y: Sequence[int]) -> int:
-    """Hermitian inner product sum_i x_i * conj(y_i)."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    acc = 0
-    for a, b in zip(x, y):
-        acc ^= _MUL[a][_CONJ[b]]
-    return acc
 
 
 def plain_inner(x: Sequence[int], y: Sequence[int]) -> int:

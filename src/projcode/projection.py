@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .bitlin import BinaryLinearCode, iter_span_chunks, popcount64
+from .bitlin import BinaryLinearCode, popcount64
 from .quaternary import QuaternaryCode
 
 
@@ -63,11 +63,6 @@ _CANDIDATE: list[list[list[int | None]]] = [
 for _v in range(4):
     for _nib in COSETS[_v]:
         _CANDIDATE[_v][_nib.bit_count() & 1][_nib >> 3] = _nib
-
-
-def coset_of(value: int) -> tuple[int, int, int, int]:
-    """The four column nibbles whose projection is ``value``."""
-    return COSETS[value]
 
 
 def select_candidate(value: int, parity: int, first_bit: int) -> int:
@@ -188,27 +183,6 @@ def construct(c4: QuaternaryCode, variant: Variant) -> BinaryLinearCode:
     return BinaryLinearCode(rows, 4 * c4.m)
 
 
-def _syndrome_masks(c4: QuaternaryCode) -> list[int]:
-    """Bit masks whose parities give the projected word's syndrome.
-
-    Two masks (high bit, low bit of the GF(4) value) per parity-check row:
-    masks[2t] and masks[2t+1] cover check row t.
-    """
-    m = c4.m
-    masks = [0] * 8
-    for t, hrow in enumerate(c4.parity_check):
-        for i in range(1, m + 1):
-            shift = 4 * (m - i)
-            for label, bit in ((gf4.ONE, 2), (gf4.OMEGA, 1),
-                               (gf4.OMEGA_BAR, 0)):
-                g = gf4.mul(hrow[i - 1], label)
-                if g & 2:
-                    masks[2 * t] |= 1 << (shift + bit)
-                if g & 1:
-                    masks[2 * t + 1] |= 1 << (shift + bit)
-    return masks
-
-
 def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
                    variant: Variant) -> bool:
     """Check all 2^k codewords: projection lands in C4, columns share one
@@ -219,7 +193,7 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     col_mask = np.uint64(int("0001" * m, 2))
     first_mask = np.uint64(int("1000" * m, 2))
     all_odd = np.uint64(int("0001" * m, 2))
-    synd_masks = [np.uint64(mask) for mask in _syndrome_masks(c4)]
+    synd_masks = [np.uint64(mask) for mask in c4.syndrome_masks]
     one = np.uint64(1)
     for chunk in code.codeword_chunks():
         t = chunk ^ (chunk >> np.uint64(2))

@@ -8,12 +8,12 @@ basis over GF(4).
 Syndromes are taken with the plain (unconjugated) product y H^T.  The
 4-row parity-check matrices have the property that any three columns are
 linearly independent, which is what makes syndromes of up to three column
-errors uniquely decomposable (``match_single_column``/``solve_columns``).
+errors uniquely decomposable (``single``/``pair_table``).  Syndromes are
+packed into 8 bits with ``gf4.pack``, check row 1 highest.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -22,14 +22,6 @@ from .bitlin import rank
 
 GF4Vector = tuple[int, ...]
 Syndrome = tuple[int, int, int, int]
-
-
-def _pack_syndrome(s: Sequence[int]) -> int:
-    return (s[0] << 6) | (s[1] << 4) | (s[2] << 2) | s[3]
-
-
-def _unpack_syndrome(v: int) -> Syndrome:
-    return ((v >> 6) & 3, (v >> 4) & 3, (v >> 2) & 3, v & 3)
 
 
 class QuaternaryCode:
@@ -44,19 +36,19 @@ class QuaternaryCode:
         self.r = len(self.generators)
         self._validate()
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
-        self._colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+        self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         for i in range(1, self.m + 1):
             col = self.column(i)
-            self._colmul.append(tuple(
-                _pack_syndrome([gf4.mul(e, h) for h in col])
-                for e in gf4.ELEMENTS))
+            self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
+                                     for e in gf4.ELEMENTS))
         # syndrome -> (column, scalar) for all single-column multiples;
         # collision-free because any two columns are independent
-        self._single: dict[int, tuple[int, int]] = {}
+        self.single: dict[int, tuple[int, int]] = {}
         for i in range(1, self.m + 1):
             for e in gf4.NONZERO:
-                self._single[self._colmul[i][e]] = (i, e)
+                self.single[self.colmul[i][e]] = (i, e)
         self._pairs: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+        self.syndrome_masks = self._syndrome_masks()
         self._packed_gens = [gf4.pack(g) for g in self.generators]
         self._wdist: tuple[int, ...] | None = None
 
@@ -97,67 +89,37 @@ class QuaternaryCode:
     def __contains__(self, y: Sequence[int]) -> bool:
         return not any(self.syndrome(y))
 
-    # -- syndrome decomposition --------------------------------------------
+    def _syndrome_masks(self) -> tuple[int, ...]:
+        """Bit masks over the binary length-4m word whose parities give the
+        packed syndrome of its projection, check row 1 highest: masks[2t]
+        and masks[2t+1] are the high and low bit of check row t."""
+        m = self.m
+        masks = [0] * 8
+        for t, hrow in enumerate(self.parity_check):
+            for i in range(1, m + 1):
+                shift = 4 * (m - i)
+                for label, bit in ((gf4.ONE, 2), (gf4.OMEGA, 1),
+                                   (gf4.OMEGA_BAR, 0)):
+                    g = gf4.mul(hrow[i - 1], label)
+                    if g & 2:
+                        masks[2 * t] |= 1 << (shift + bit)
+                    if g & 1:
+                        masks[2 * t + 1] |= 1 << (shift + bit)
+        return tuple(masks)
 
-    def match_single_column(self, s: Sequence[int]) -> tuple[int, int] | None:
-        """(i, e) with s = e H_i and e nonzero, or None."""
-        return self._single.get(_pack_syndrome(s))
-
-    def _pair_table(self, i: int, j: int) -> dict[int, tuple[int, int]]:
-        """Packed syndrome of a H_i + b H_j -> (a, b), all 16 pairs."""
+    def pair_table(self, i: int, j: int) -> dict[int, tuple[int, int]]:
+        """Packed syndrome of a H_i + b H_j -> (a, b), all 16 pairs; the
+        pairs are distinct because any two columns are independent."""
         key = (i, j)
         table = self._pairs.get(key)
         if table is None:
-            ci, cj = self._colmul[i], self._colmul[j]
+            ci, cj = self.colmul[i], self.colmul[j]
             table = {ci[a] ^ cj[b]: (a, b)
                      for a in gf4.ELEMENTS for b in gf4.ELEMENTS}
             self._pairs[key] = table
         return table
 
-    def solve_columns(self, s: Sequence[int],
-                      columns: Sequence[int]) -> dict[int, int] | None:
-        """Coefficients {i: e_i} with s = sum e_i H_i over the given columns.
-
-        Zero coefficients are allowed.  At most three columns are
-        supported; the solution is unique when it exists because any
-        three parity-check columns are independent.
-        """
-        cols = list(columns)
-        packed = _pack_syndrome(s)
-        if not 1 <= len(cols) <= 3:
-            raise ValueError("solve_columns handles 1 to 3 columns")
-        if len(cols) != len(set(cols)):
-            raise ValueError("repeated column index")
-        if len(cols) == 1:
-            (i,) = cols
-            for e in gf4.ELEMENTS:
-                if self._colmul[i][e] == packed:
-                    return {i: e}
-            return None
-        if len(cols) == 2:
-            i, j = cols
-            hit = self._pair_table(i, j).get(packed)
-            if hit is None:
-                return None
-            return {i: hit[0], j: hit[1]}
-        i, j, k = cols
-        pair = self._pair_table(j, k)
-        ci = self._colmul[i]
-        for e in gf4.ELEMENTS:
-            hit = pair.get(packed ^ ci[e])
-            if hit is not None:
-                return {i: e, j: hit[0], k: hit[1]}
-        return None
-
     # -- weight distribution -----------------------------------------------
-
-    def codewords(self) -> Iterable[GF4Vector]:
-        """All 2^r codewords (GF(2) span of the generator rows)."""
-        table = [0]
-        for g in self._packed_gens:
-            table += [v ^ g for v in table]
-        for v in table:
-            yield gf4.unpack(v, self.m)
 
     def weight_distribution(self) -> tuple[int, ...]:
         """(A_0, ..., A_m) over all 2^r codewords."""

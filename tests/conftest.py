@@ -23,6 +23,7 @@ BRANCH_ERRORS = [
     ("b.iv", [(3, 0b0010), (7, 0b1100)]),    # second column hits the first row
     ("c.i", [(2, 0b1000), (6, 0b1000)]),
     ("c.ii", [(4, 0b0100), (9, 0b1000)]),
+    ("c.ii", [(4, 0b1000), (9, 0b0100)]),    # repaired column is the later one
     ("c.iii", [(1, 0b0001), (8, 0b0010)]),
     ("d.i", [(2, 0b1000), (5, 0b1000), (9, 0b1000)]),
     ("d.ii", [(2, 0b0100), (5, 0b1000), (9, 0b1000)]),

@@ -133,7 +133,7 @@ def test_coset_table_leaders_are_minimal():
     assert table.leaders[0] == 0
     for s, e in table.leaders.items():
         assert e.bit_count() <= 1
-        assert table.syndrome(e) == s
+        assert table.code.syndrome(e) == s
 
 
 def test_coset_decode_round_trip():

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from projcode import DecodeOutcome, gf4
 from projcode.bitlin import CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
-                              apply_column_correction, decode)
-from projcode.projection import from_array, parity_profile, project, to_array
+                              decode)
+from projcode.projection import (from_array, parity_profile, project,
+                                 select_candidate, to_array)
 
 from conftest import (BINARY_IDS, BRANCH_ERRORS, array_from_rows,
                       make_context, plant)
@@ -51,26 +52,18 @@ def test_worked_example_trace(num, contexts):
 
 def test_example_corrections_via_column_surgery(contexts):
     # replay example 2 by hand: flip the first bit of minority column 8,
-    # then repair column 5 keeping the first row at the expected parity 0
+    # then replace column 5 by the odd column projecting to 0 whose first
+    # bit brings the first row to the expected parity 0
     ex = DECODE_EXAMPLES[2]
     ctx = contexts["e36"]
     arr = array_from_rows(ex["rows"])
     out = decode(ctx, from_array(arr))
     step1 = arr.replace(8, arr.column(8) ^ 0b1000)
-    step2 = apply_column_correction(step1, 5, value=0, target_parity=1,
-                                    expected_first_row_parity=0)
+    first_row = sum(nib >> 3 for nib in step1.columns) & 1
+    step2 = step1.replace(5, select_candidate(
+        0, 1, (step1.column(5) >> 3) ^ first_row))
     assert step2.column(5) == 0b0111
     assert from_array(step2) == out.codeword
-
-
-def test_apply_column_correction_chooses_first_bit():
-    zero = to_array(0, 36)
-    fixed = apply_column_correction(zero, 3, value=1, target_parity=0,
-                                    expected_first_row_parity=0)
-    assert fixed.column(3) == 0b0011
-    flipped = apply_column_correction(zero, 3, value=1, target_parity=0,
-                                      expected_first_row_parity=1)
-    assert flipped.column(3) == 0b1100
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +89,12 @@ def test_all_branches_recover_planted_errors(code_id, contexts):
             assert out.codeword == c
             assert out.error == received ^ c
             assert out.trace.error_weight == out.error.bit_count()
+            # corrections: the minority columns in index order, then at
+            # most one other column
+            cols = tuple(c for c, _, _ in out.trace.corrections)
+            minority = out.trace.profile.minority_columns
+            assert cols[:len(minority)] == minority
+            assert len(cols) <= len(minority) + 1
 
 
 def test_decoding_is_idempotent(contexts):

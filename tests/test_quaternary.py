@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from projcode import gf4
-from projcode.quaternary import (QuaternaryCode, _pack_syndrome,
-                                 _unpack_syndrome, c4_9, c4_10,
+from projcode.bitlin import xor_span
+from projcode.quaternary import (QuaternaryCode, c4_9, c4_10,
                                  format_gf4_matrix, parse_gf4_matrix)
 
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
@@ -41,7 +41,8 @@ def test_closed_under_gf4_scaling(code):
 def test_conjugate_code_differs(code):
     # the conjugated generators do not all stay inside the code, so the
     # code and its conjugate are genuinely different (inequivalent duals)
-    assert any(tuple(map(gf4.conj, g)) not in code for g in code.generators)
+    conjugate = [tuple(gf4.mul(a, a) for a in g) for g in code.generators]
+    assert any(g not in code for g in conjugate)
 
 
 def test_weight_distributions(q9, q10):
@@ -57,10 +58,10 @@ def test_weight_distributions(q9, q10):
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
 def test_codewords_enumeration(code):
-    words = list(code.codewords())
+    words = xor_span([gf4.pack(g) for g in code.generators])
     assert len(words) == 1 << code.r
-    assert len(set(words)) == len(words)
-    assert all(len(w) == code.m for w in words)
+    assert len(set(words.tolist())) == len(words)
+    assert all(gf4.unpack(int(w), code.m) in code for w in words[:64])
 
 
 def test_syndrome_of_worked_example_projections(q9, q10):
@@ -95,8 +96,9 @@ def test_match_single_column_exhaustive(code):
         for e in gf4.NONZERO:
             y = [0] * code.m
             y[i - 1] = e
-            assert code.match_single_column(code.syndrome(y)) == (i, e)
-    assert code.match_single_column((0, 0, 0, 0)) is None
+            assert code.single[gf4.pack(code.syndrome(y))] == (i, e)
+    assert 0 not in code.single
+    assert len(code.single) == 3 * code.m
 
 
 def test_match_single_column_rejects_double_errors(q9):
@@ -105,7 +107,7 @@ def test_match_single_column_rejects_double_errors(q9):
         y = [0] * 9
         y[i - 1] = gf4.ONE
         y[j - 1] = gf4.OMEGA
-        assert q9.match_single_column(q9.syndrome(y)) is None
+        assert gf4.pack(q9.syndrome(y)) not in q9.single
 
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
@@ -114,35 +116,30 @@ def test_solve_two_columns_exhaustive(code):
         for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
             y = [0] * code.m
             y[i - 1], y[j - 1] = a, b
-            assert code.solve_columns(code.syndrome(y), (i, j)) \
-                == {i: a, j: b}
+            assert code.pair_table(i, j)[gf4.pack(code.syndrome(y))] \
+                == (a, b)
 
 
 def test_solve_three_columns_exhaustive(q9):
-    for cols in itertools.combinations(range(1, 10), 3):
+    # the decoder's p = 3 solve: exactly one coefficient of the first
+    # column leaves a syndrome in the pair table of the other two
+    for i, j, k in itertools.combinations(range(1, 10), 3):
         for vals in itertools.product(gf4.ELEMENTS, repeat=3):
             y = [0] * 9
-            for c, e in zip(cols, vals):
+            for c, e in zip((i, j, k), vals):
                 y[c - 1] = e
-            assert q9.solve_columns(q9.syndrome(y), cols) \
-                == dict(zip(cols, vals))
+            s = gf4.pack(q9.syndrome(y))
+            pair = q9.pair_table(j, k)
+            hits = [(e, *pair[s ^ q9.colmul[i][e]]) for e in gf4.ELEMENTS
+                    if s ^ q9.colmul[i][e] in pair]
+            assert hits == [vals]
 
 
 def test_solve_columns_unsolvable(q9):
     # a pure column-4 multiple cannot be written on columns {1, 2}
     y = [0] * 9
     y[3] = gf4.OMEGA
-    assert q9.solve_columns(q9.syndrome(y), (1, 2)) is None
-
-
-def test_solve_columns_argument_checks(q9):
-    s = (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        q9.solve_columns(s, (1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        q9.solve_columns(s, ())
-    with pytest.raises(ValueError):
-        q9.solve_columns(s, (2, 2))
+    assert gf4.pack(q9.syndrome(y)) not in q9.pair_table(1, 2)
 
 
 def test_column_accessor(q9):
@@ -168,7 +165,7 @@ def test_constructor_rejects_bad_matrices(q9):
 
 def test_syndrome_packing_round_trip():
     for s in itertools.product(range(4), repeat=4):
-        assert _unpack_syndrome(_pack_syndrome(s)) == s
+        assert gf4.unpack(gf4.pack(s), 4) == s
 
 
 def test_parse_format_gf4_matrix(q9):
