@@ -7,10 +7,10 @@ E in :mod:`projcode.projection`), giving four inequivalent binary codes.
 projecting the received word back onto GF(4) and repairing columns.
 """
 
-from .bitlin import BinaryLinearCode, CosetTable, code_equal
+from .bitlin import BinaryLinearCode, CosetTable, code_equal, parse_matrix
 from .decoder import DecodeOutcome, DecoderContext, DecodeTrace, decode
 from .projection import Variant, construct, has_projection
-from .quaternary import QuaternaryCode, c4_9, c4_10
+from .quaternary import QuaternaryCode, c4_9, c4_10, parse_gf4_matrix
 
 __version__ = "0.1.0"
 
@@ -28,5 +28,7 @@ __all__ = [
     "construct",
     "decode",
     "has_projection",
+    "parse_gf4_matrix",
+    "parse_matrix",
     "__version__",
 ]

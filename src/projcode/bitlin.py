@@ -5,8 +5,10 @@ is the most significant of the n bits, so ``format_bits(v, n)`` prints the
 vector the way a generator matrix row is written.  Matrices are lists of
 row ints plus an explicit width.
 
-Exhaustive codeword enumeration is vectorised with numpy on uint64 words
-(n <= 64 is assumed throughout), which keeps full 2^22 sweeps cheap.
+Weight distributions enumerate the smaller of a code and its dual,
+vectorised with numpy on uint64 words (n <= 64 is assumed throughout), and
+map a dual distribution back with the MacWilliams identity, so a [40,22]
+code costs a sweep of 2^18 words.
 ``CosetTable`` implements syndrome decoding by stored coset leaders and is
 used as the ground-truth decoder in tests.
 """
@@ -18,7 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_MAX_ENUM_K = 26         # refuse to enumerate more than 2^26 codewords
+_MAX_ENUM_K = 26         # refuse to enumerate more than 2^26 words
 _MAX_TABLE_REDUNDANCY = 20   # refuse coset tables beyond 2^20 syndromes
 _CHUNK_ROWS = 16         # enumeration chunk size: 2^16 words at a time
 
@@ -145,6 +147,40 @@ def iter_span_chunks(rows: Sequence[int]) -> Iterator[np.ndarray]:
         yield base ^ hv
 
 
+def _span_distribution(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Weight distribution of the span of independent ``rows``, by
+    enumerating all 2^len(rows) words."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for chunk in iter_span_chunks(rows):
+        counts += np.bincount(popcount64(chunk), minlength=n + 1)
+    return tuple(int(c) for c in counts)
+
+
+def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
+    """The distribution of a code from that of its dual of dimension r:
+    A_j = 2^-r sum_i B_i K_j(i), in exact ints.  The Krawtchouk values
+    follow (j + 1) K_{j+1}(i) = (n - 2i) K_j(i) - (n - j + 1) K_{j-1}(i)
+    from K_0 = 1, K_{-1} = 0."""
+    n = len(dual_dist) - 1
+    sums = [0] * (n + 1)
+    for i, b in enumerate(dual_dist):
+        if not b:
+            continue
+        prev, cur = 0, 1
+        for j in range(n + 1):
+            sums[j] += b * cur
+            prev, cur = cur, ((n - 2 * i) * cur
+                              - (n - j + 1) * prev) // (j + 1)
+    dist = []
+    for j, total in enumerate(sums):
+        a, rem = divmod(total, 1 << r)
+        if rem:
+            raise ValueError(f"MacWilliams sum for A_{j} is not divisible "
+                             f"by 2^{r}")
+        dist.append(a)
+    return tuple(dist)
+
+
 # ---------------------------------------------------------------------------
 # syndrome helpers (shared by BinaryLinearCode, CosetTable and the decoder)
 
@@ -233,22 +269,25 @@ class BinaryLinearCode:
     def __contains__(self, word: int) -> bool:
         return self.syndrome(word) == 0
 
-    # -- exhaustive enumeration --------------------------------------------
-
-    def codeword_chunks(self) -> Iterator[np.ndarray]:
-        if self.k > _MAX_ENUM_K:
-            raise ValueError(f"k = {self.k} exceeds enumeration budget "
-                             f"{_MAX_ENUM_K}")
-        return iter_span_chunks(self.generator)
+    # -- weight distribution -----------------------------------------------
 
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_n) by enumerating all 2^k codewords."""
+        """(A_0, ..., A_n), enumerating the smaller of the code and its dual.
+
+        ``parity_rows`` are a basis of the dual.  When the dual is smaller
+        (n - k < k) its distribution is mapped back with the MacWilliams
+        identity; the enumeration budget applies to the side enumerated."""
         if self._wdist is None:
-            counts = np.zeros(self.n + 1, dtype=np.int64)
-            for chunk in self.codeword_chunks():
-                counts += np.bincount(popcount64(chunk),
-                                      minlength=self.n + 1)
-            self._wdist = tuple(int(c) for c in counts)
+            r = self.n - self.k
+            dim = min(self.k, r)
+            if dim > _MAX_ENUM_K:
+                raise ValueError(f"min(k, n-k) = {dim} exceeds enumeration "
+                                 f"budget {_MAX_ENUM_K}")
+            if r < self.k:
+                self._wdist = _macwilliams(
+                    _span_distribution(self.parity_rows, self.n), r)
+            else:
+                self._wdist = _span_distribution(self.generator, self.n)
         return self._wdist
 
     def min_distance(self) -> int:

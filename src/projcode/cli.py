@@ -4,7 +4,7 @@ Code identifiers: o36, e36, o40, e40 for the binary codes and c4-9,
 c4-10 for the underlying quaternary codes.  Subcommands:
 
   gen       print a generator matrix (--mindist to also report d)
-  wdist     weight distribution by exhaustive enumeration
+  wdist     weight distribution, enumerating the code or its dual
   encode    message bits -> codeword
   decode    received word -> corrected codeword (--trace, --oracle)
   mindist   minimum distance
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from . import gf4
 from .bitlin import CosetTable, format_bits, format_matrix, parse_bits
 from .decoder import DecoderContext, decode
-from .projection import (Variant, parity_profile, project, render_array,
-                         to_array)
+from .projection import Variant, parity_profile, render_array, to_array
 from .quaternary import QuaternaryCode, c4_9, c4_10, format_gf4_matrix
 
 BINARY_CODES = {
@@ -182,7 +181,7 @@ def cmd_decode(args, parser) -> int:
         branch = trace.branch
         decoded_str = format_bits(outcome.codeword, ctx.n)
     else:
-        syndrome = ctx.c4.syndrome(project(arr))
+        syndrome = gf4.unpack(ctx.syndrome_packed(received), 4)
         p = parity_profile(arr).p
         positions = []
         branch = None
@@ -343,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", "print a generator matrix")
     p.add_argument("--mindist", action="store_true",
                    help="also compute the minimum distance")
-    add("wdist", "weight distribution by exhaustive enumeration")
-    add("mindist", "minimum distance by exhaustive enumeration")
+    add("wdist", "weight distribution, enumerating the code or its dual")
+    add("mindist", "minimum distance from the weight distribution")
 
     p = add("encode", "encode a message", binary_only=True)
     p.add_argument("message", help="k message bits (spaces allowed)")

@@ -33,11 +33,6 @@ _SYMBOLS = "01wW"
 _FROM_SYMBOL = {"0": 0, "1": 1, "w": 2, "W": 3}
 
 
-def add(a: int, b: int) -> int:
-    """Field addition (characteristic 2)."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     return _MUL[a][b]
 

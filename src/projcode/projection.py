@@ -27,10 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf4
-from .bitlin import BinaryLinearCode, popcount64
+from .bitlin import BinaryLinearCode
 from .quaternary import QuaternaryCode
 
 
@@ -83,11 +81,6 @@ class CodewordArray:
         """Column i, 1-based."""
         return self.columns[i - 1]
 
-    def replace(self, i: int, nibble: int) -> "CodewordArray":
-        cols = list(self.columns)
-        cols[i - 1] = nibble
-        return CodewordArray(tuple(cols))
-
 
 def to_array(word: int, n: int) -> CodewordArray:
     """Split a length-n (= 4m) word into column nibbles."""
@@ -96,13 +89,6 @@ def to_array(word: int, n: int) -> CodewordArray:
     m = n // 4
     return CodewordArray(tuple((word >> (4 * (m - i))) & 15
                                for i in range(1, m + 1)))
-
-
-def from_array(arr: CodewordArray) -> int:
-    word = 0
-    for nib in arr.columns:
-        word = (word << 4) | nib
-    return word
 
 
 def project(arr: CodewordArray) -> tuple[int, ...]:
@@ -185,33 +171,30 @@ def construct(c4: QuaternaryCode, variant: Variant) -> BinaryLinearCode:
 
 def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
                    variant: Variant) -> bool:
-    """Check all 2^k codewords: projection lands in C4, columns share one
-    parity, and the first row obeys the variant rule."""
+    """True iff every codeword projects into C4, has columns of one parity
+    and obeys the variant's first-row rule.
+
+    Each condition is GF(2)-linear, so the words meeting all of them form a
+    subspace and it suffices to check the k generator rows: the projected
+    syndrome (the parities of ``c4.syndrome_masks``) is zero; the vector of
+    column parities lies in {0, all-ones}; and, on that subspace, the
+    first-row parity equals the common column parity for O and is 0 for
+    E."""
     m = c4.m
     if code.n != 4 * m:
         return False
-    col_mask = np.uint64(int("0001" * m, 2))
-    first_mask = np.uint64(int("1000" * m, 2))
-    all_odd = np.uint64(int("0001" * m, 2))
-    synd_masks = [np.uint64(mask) for mask in c4.syndrome_masks]
-    one = np.uint64(1)
-    for chunk in code.codeword_chunks():
-        t = chunk ^ (chunk >> np.uint64(2))
-        colpar = (t ^ (t >> one)) & col_mask
-        odd = colpar == all_odd
-        even = colpar == np.uint64(0)
-        if not np.all(odd | even):
+    col_mask = int("0001" * m, 2)
+    first_mask = int("1000" * m, 2)
+    for g in code.generator:
+        t = g ^ (g >> 2)
+        colpar = (t ^ (t >> 1)) & col_mask
+        if colpar not in (0, col_mask):
             return False
-        first = popcount64(chunk & first_mask) & one
-        if variant is Variant.O:
-            expected = odd.astype(np.uint64)
-        else:
-            expected = np.uint64(0)
-        if not np.all(first == expected):
+        expected = 1 if variant is Variant.O and colpar else 0
+        if (g & first_mask).bit_count() & 1 != expected:
             return False
-        for mask in synd_masks:
-            if np.any(popcount64(chunk & mask) & one):
-                return False
+        if any((g & mask).bit_count() & 1 for mask in c4.syndrome_masks):
+            return False
     return True
 
 

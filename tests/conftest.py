@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from projcode.bitlin import BinaryLinearCode, iter_span_chunks, popcount64
 from projcode.decoder import DecoderContext
 from projcode.projection import CodewordArray, Variant
-from projcode.quaternary import c4_9, c4_10
+from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 BINARY_IDS = ("o36", "e36", "o40", "e40")
 
@@ -64,6 +66,42 @@ def array_from_rows(rows: tuple[str, str, str, str]) -> CodewordArray:
     m = len(bits[0])
     return CodewordArray(tuple(
         int("".join(bits[r][i] for r in range(4)), 2) for i in range(m)))
+
+
+def word_from_rows(rows: tuple[str, str, str, str]) -> int:
+    """The packed word of a worked example given by its four row strings."""
+    word = 0
+    for nib in array_from_rows(rows).columns:
+        word = word << 4 | nib
+    return word
+
+
+def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
+                              variant: Variant) -> bool:
+    """``has_projection`` by brute force: every one of the 2^k codewords
+    must project into C4, have columns of one parity and obey the
+    variant's first-row rule."""
+    m = c4.m
+    if code.n != 4 * m:
+        return False
+    one = np.uint64(1)
+    col_mask = np.uint64(int("0001" * m, 2))
+    first_mask = np.uint64(int("1000" * m, 2))
+    synd_masks = [np.uint64(mask) for mask in c4.syndrome_masks]
+    for chunk in iter_span_chunks(code.generator):
+        t = chunk ^ (chunk >> np.uint64(2))
+        colpar = (t ^ (t >> one)) & col_mask
+        odd = colpar == col_mask
+        if not np.all(odd | (colpar == 0)):
+            return False
+        first = (popcount64(chunk & first_mask) & one).astype(bool)
+        if not np.array_equal(first, odd if variant is Variant.O
+                              else np.zeros_like(odd)):
+            return False
+        for mask in synd_masks:
+            if np.any(popcount64(chunk & mask) & one):
+                return False
+    return True
 
 
 @pytest.fixture(scope="session")

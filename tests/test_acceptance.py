@@ -18,11 +18,11 @@ from collections import Counter
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable, code_equal, parse_matrix
 from projcode.decoder import BRANCHES, decode
-from projcode.projection import from_array, has_projection
+from projcode.projection import has_projection
 from projcode.quaternary import c4_9, c4_10
 
 from conftest import (ACCEPTANCE_LINES, BINARY_IDS, BRANCH_ERRORS,
-                      array_from_rows, plant)
+                      enumerated_has_projection, plant, word_from_rows)
 from golden import (COSET_BRANCHES_O36, COSET_REFUSALS_O36,
                     DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
                     QDIST_9, QDIST_10, WDIST_E36, WDIST_E40, WDIST_O36,
@@ -64,8 +64,8 @@ def test_criterion_1_parameters(contexts):
     bad = [code_id for code_id in BINARY_IDS
            if (lambda c: (c.n, c.k, c.min_distance()))
            (contexts[code_id].binary_code) != (*EXPECTED_NK[code_id], 8)]
-    report("criterion 1: parameters [36,19,8] x2 and [40,22,8] x2 "
-           "by full enumeration", not bad,
+    report("criterion 1: parameters [36,19,8] x2 and [40,22,8] x2, d from "
+           "the dual's 2^17 / 2^18 words via MacWilliams", not bad,
            "all four codes" if not bad else f"wrong: {bad}")
 
 
@@ -98,10 +98,15 @@ def test_criterion_4_construction_fidelity(contexts):
 
 
 def test_criterion_5_projection_property(contexts):
+    # the proof enumerates every codeword; has_projection, which checks
+    # only the generators, must agree with it
     bad = [code_id for code_id, ctx in contexts.items()
-           if not has_projection(ctx.binary_code, ctx.c4, ctx.variant)]
+           if not enumerated_has_projection(ctx.binary_code, ctx.c4,
+                                            ctx.variant)
+           or not has_projection(ctx.binary_code, ctx.c4, ctx.variant)]
     report("criterion 5: every codeword projects into the quaternary code "
-           "with uniform column parity and the variant's first-row rule",
+           "with uniform column parity and the variant's first-row rule, "
+           "by enumeration, and the generator check agrees",
            not bad, "2^19 x2 and 2^22 x2 codewords"
            if not bad else f"wrong: {bad}")
 
@@ -143,7 +148,7 @@ def test_criterion_7_golden_traces(contexts):
     bad = []
     for num, ex in DECODE_EXAMPLES.items():
         ctx = contexts[ex["code"]]
-        out = decode(ctx, from_array(array_from_rows(ex["rows"])))
+        out = decode(ctx, word_from_rows(ex["rows"]))
         expected = [0, 0, 0, 0]
         for col, coeff in SYNDROME_TERMS[num]:
             for t, h in enumerate(ctx.c4.column(col)):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -109,9 +111,38 @@ def test_weight_distribution_small_codes():
     assert _hamming7().min_distance() == 3
 
 
+def _enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for chunk in bitlin.iter_span_chunks(code.generator):
+        counts += np.bincount(bitlin.popcount64(chunk), minlength=code.n + 1)
+    return tuple(int(c) for c in counts)
+
+
+def test_weight_distribution_matches_enumeration(contexts):
+    # the four codes and Hamming [7,4] take the dual route, [7,3] and
+    # [4,1] are enumerated themselves
+    hamming = _hamming7()
+    codes = [ctx.binary_code for ctx in contexts.values()]
+    codes += [hamming, BinaryLinearCode(hamming.parity_rows, 7),
+              _repetition4()]
+    for code in codes:
+        assert code.weight_distribution() == _enumerated_distribution(code)
+
+
+def test_macwilliams_rejects_an_inconsistent_dual():
+    # one word cannot be the dual of dimension 1: 2 does not divide A_0 = 1
+    with pytest.raises(ValueError, match="not divisible"):
+        bitlin._macwilliams((1, 0, 0), 1)
+
+
 def test_weight_distribution_budget():
-    big = BinaryLinearCode([1 << i for i in range(30)], 30)
-    with pytest.raises(ValueError):
+    # the [30,30] code's dual is {0}, so MacWilliams gives the binomials
+    full = BinaryLinearCode([1 << i for i in range(30)], 30)
+    assert full.weight_distribution() == tuple(math.comb(30, j)
+                                               for j in range(31))
+    # [60,30]: both the code and its dual exceed the budget
+    big = BinaryLinearCode([1 << i for i in range(30)], 60)
+    with pytest.raises(ValueError, match=r"min\(k, n-k\) = 30"):
         big.weight_distribution()
 
 

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from projcode import cli
+from projcode import cli, gf4
 from projcode.bitlin import BinaryLinearCode, code_equal, format_bits, parse_matrix
 from projcode.cli import main
-from projcode.projection import from_array
+from projcode.projection import parity_profile, project, to_array
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
-from conftest import array_from_rows
+from conftest import word_from_rows
 from golden import DECODE_EXAMPLES, QDIST_9, WDIST_O36
 
 
@@ -23,7 +23,7 @@ def run(capsys, *argv):
 def example_word(num: int) -> str:
     ex = DECODE_EXAMPLES[num]
     n = 4 * len(ex["rows"][0].split())
-    return format_bits(from_array(array_from_rows(ex["rows"])), n)
+    return format_bits(word_from_rows(ex["rows"]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +102,12 @@ def test_encode_rejects_wrong_length(capsys):
 
 def test_decode_success_plain(capsys):
     ex = DECODE_EXAMPLES[1]
-    arr = array_from_rows(ex["rows"])
-    fixed = arr
-    for col, _, new in ex["corrections"]:
-        fixed = fixed.replace(col, new)
+    fixed = word_from_rows(ex["rows"])
+    for col, old, new in ex["corrections"]:
+        fixed ^= (old ^ new) << 4 * (9 - col)
     rv, out, err = run(capsys, "decode", "o36", example_word(1))
     assert rv == 0
-    assert out.strip() == format_bits(from_array(fixed), 36)
+    assert out.strip() == format_bits(fixed, 36)
     assert err == ""
 
 
@@ -155,6 +154,20 @@ def test_decode_failure(capsys):
     assert payload["branch"] is None
     assert payload["oracle"] is None
     assert payload["error_positions"] == []
+
+
+def test_decode_failure_reports_syndrome_and_p(capsys, contexts):
+    # weight 4 in two odd columns: p = 2 and an unsolvable syndrome
+    word = "1110" + "0" * 12 + "0100" + "0" * 16
+    rv, out, _ = run(capsys, "decode", "o36", word, "--json")
+    assert rv == 1
+    payload = json.loads(out)
+    assert (payload["syndrome"], payload["p"]) == ("w 1 w 1", 2)
+    # the decoder's packed syndrome equals the projected word's syndrome
+    arr = to_array(int(word, 2), 36)
+    assert payload["syndrome"] == gf4.format_vector(
+        contexts["o36"].c4.syndrome(project(arr)))
+    assert payload["p"] == parity_profile(arr).p
 
 
 def test_decode_rejects_wrong_length(capsys):

@@ -13,11 +13,11 @@ from projcode import DecodeOutcome, gf4
 from projcode.bitlin import CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
                               decode)
-from projcode.projection import (from_array, parity_profile, project,
-                                 select_candidate, to_array)
+from projcode.projection import (parity_profile, project, select_candidate,
+                                 to_array)
 
-from conftest import (BINARY_IDS, BRANCH_ERRORS, array_from_rows,
-                      make_context, plant)
+from conftest import (BINARY_IDS, BRANCH_ERRORS, make_context, plant,
+                      word_from_rows)
 from golden import DECODE_EXAMPLES
 
 
@@ -33,7 +33,7 @@ def _context(code_id: str):
 def test_worked_example_trace(num, contexts):
     ex = DECODE_EXAMPLES[num]
     ctx = contexts[ex["code"]]
-    received = from_array(array_from_rows(ex["rows"]))
+    received = word_from_rows(ex["rows"])
     out = decode(ctx, received)
     assert out.ok
     trace = out.trace
@@ -56,14 +56,15 @@ def test_example_corrections_via_column_surgery(contexts):
     # bit brings the first row to the expected parity 0
     ex = DECODE_EXAMPLES[2]
     ctx = contexts["e36"]
-    arr = array_from_rows(ex["rows"])
-    out = decode(ctx, from_array(arr))
-    step1 = arr.replace(8, arr.column(8) ^ 0b1000)
+    received = word_from_rows(ex["rows"])
+    out = decode(ctx, received)
+    step1 = to_array(received ^ 0b1000 << 4 * (9 - 8), 36)
     first_row = sum(nib >> 3 for nib in step1.columns) & 1
-    step2 = step1.replace(5, select_candidate(
-        0, 1, (step1.column(5) >> 3) ^ first_row))
-    assert step2.column(5) == 0b0111
-    assert from_array(step2) == out.codeword
+    column5 = select_candidate(0, 1, (step1.column(5) >> 3) ^ first_row)
+    assert column5 == 0b0111
+    step2 = sum((column5 if i == 5 else nib) << 4 * (9 - i)
+                for i, nib in enumerate(step1.columns, 1))
+    assert step2 == out.codeword
 
 
 # ---------------------------------------------------------------------------

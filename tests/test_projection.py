@@ -3,19 +3,20 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projcode import gf4
-from projcode.bitlin import parse_bits, rank
+from projcode.bitlin import BinaryLinearCode, parse_bits, rank
 from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
                                  CodewordArray, Variant, construct,
-                                 d_code_generators, from_array,
-                                 has_projection, parity_profile, phi, project,
-                                 render_array, select_candidate, to_array)
+                                 d_code_generators, has_projection,
+                                 parity_profile, phi, project, render_array,
+                                 select_candidate, to_array)
 from projcode.quaternary import c4_9, c4_10
 
-from conftest import array_from_rows
+from conftest import (BINARY_IDS, array_from_rows,
+                      enumerated_has_projection, word_from_rows)
 from golden import (COSET_TABLE, DECODE_EXAMPLES, PROJ_EXAMPLE_VALUE,
                     PROJ_EXAMPLE_WORD)
 
@@ -29,7 +30,8 @@ def test_projection_example():
     word, n = parse_bits(PROJ_EXAMPLE_WORD)
     arr = to_array(word, n)
     assert project(arr) == tuple(gf4.parse_vector(PROJ_EXAMPLE_VALUE))
-    assert from_array(arr) == word
+    assert sum(nib << 4 * (arr.m - i)
+               for i, nib in enumerate(arr.columns, 1)) == word
 
 
 def test_phi_blocks_project_back():
@@ -71,7 +73,6 @@ def test_select_candidate_examples():
 def test_array_round_trip(word):
     arr = to_array(word, 36)
     assert arr.m == 9
-    assert from_array(arr) == word
     for i in range(1, 10):
         assert arr.column(i) == (word >> (4 * (9 - i))) & 15
 
@@ -81,17 +82,11 @@ def test_to_array_rejects_bad_length():
         to_array(0, 10)
 
 
-def test_replace_column():
-    arr = to_array(0, 12)
-    out = arr.replace(2, 0b1010)
-    assert out.columns == (0, 0b1010, 0)
-    assert arr.columns == (0, 0, 0)   # original untouched
-
-
 @given(words36, words36)
 def test_projection_is_additive(a, b):
     pa, pb = project(to_array(a, 36)), project(to_array(b, 36))
-    assert project(to_array(a ^ b, 36)) == tuple(map(gf4.add, pa, pb))
+    assert project(to_array(a ^ b, 36)) == tuple(x ^ y
+                                                 for x, y in zip(pa, pb))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +192,51 @@ def test_has_projection_accepts_matching_variant(contexts):
     assert not has_projection(contexts["o36"].binary_code, c4_10(), Variant.O)
 
 
+@pytest.mark.parametrize("code_id", BINARY_IDS)
+def test_has_projection_matches_enumeration(code_id, contexts):
+    code = contexts[code_id].binary_code
+    for c4 in (c4_9(), c4_10()):
+        for variant in Variant:
+            assert has_projection(code, c4, variant) \
+                == enumerated_has_projection(code, c4, variant)
+
+
+def test_has_projection_matches_enumeration_on_perturbed_codes(contexts):
+    # perturb one generator row by a bit flip, a 1111 flip in a set of
+    # columns or a nibble in one column; the code keeps its properties
+    # only when the perturbation is itself a codeword (an even set of 1111
+    # columns, a zero nibble), so both verdicts occur
+    verdicts = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        ctx = contexts[data.draw(st.sampled_from(BINARY_IDS))]
+        code, m = ctx.binary_code, ctx.m
+        kind = data.draw(st.sampled_from(("bit", "columns", "nibble")))
+        if kind == "bit":
+            flip = 1 << data.draw(st.integers(0, code.n - 1))
+        elif kind == "columns":
+            columns = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+            flip = sum(0b1111 << 4 * c for c in columns)
+        else:
+            flip = (data.draw(st.integers(0, 15))
+                    << 4 * data.draw(st.integers(0, m - 1)))
+        rows = list(code.generator)
+        rows[data.draw(st.integers(0, code.k - 1))] ^= flip
+        assume(rank(rows, code.n) == code.k)
+        perturbed = BinaryLinearCode(rows, code.n)
+        verdict = {variant: has_projection(perturbed, ctx.c4, variant)
+                   for variant in Variant}
+        for variant, got in verdict.items():
+            assert got == enumerated_has_projection(perturbed, ctx.c4,
+                                                    variant)
+        verdicts.add(verdict[ctx.variant])
+
+    check()
+    assert verdicts == {True, False}
+
+
 def test_random_codeword_projections_live_in_c4(contexts):
     import random
     rng = random.Random(7)
@@ -217,25 +257,27 @@ def test_random_codeword_projections_live_in_c4(contexts):
 # ---------------------------------------------------------------------------
 # column surgery used by the decoder
 
+def _projection_of_example_1(flips: int = 0) -> tuple[int, ...]:
+    """The projection of worked example 1 with ``flips`` XORed in."""
+    word = word_from_rows(DECODE_EXAMPLES[1]["rows"])
+    return project(to_array(word ^ flips, 36))
+
+
 def test_first_row_flip_preserves_projection():
-    arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
-    flipped = arr.replace(3, arr.column(3) ^ 0b1000)
-    assert project(flipped) == project(arr)
+    assert _projection_of_example_1(0b1000 << 4 * (9 - 3)) \
+        == _projection_of_example_1()
 
 
 def test_lower_row_flip_changes_projection():
-    arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
     for mask, delta in ((0b0100, 1), (0b0010, 2), (0b0001, 3)):
-        flipped = arr.replace(3, arr.column(3) ^ mask)
-        assert project(flipped)[2] == project(arr)[2] ^ delta
+        flipped = _projection_of_example_1(mask << 4 * (9 - 3))
+        assert flipped[2] == _projection_of_example_1()[2] ^ delta
 
 
 def test_triple_flip_in_lower_rows_preserves_projection():
-    arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
-    flipped = arr.replace(4, arr.column(4) ^ 0b0111)
-    assert project(flipped) == project(arr)
-    full = arr.replace(4, arr.column(4) ^ 0b1111)
-    assert project(full) == project(arr)
+    for mask in (0b0111, 0b1111):
+        assert _projection_of_example_1(mask << 4 * (9 - 4)) \
+            == _projection_of_example_1()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +286,8 @@ def test_triple_flip_in_lower_rows_preserves_projection():
 def test_render_array_marks_changes():
     arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
     old = arr.column(5)
-    out = arr.replace(5, old ^ 0b0010)
+    out = to_array(word_from_rows(DECODE_EXAMPLES[1]["rows"])
+                   ^ 0b0010 << 4 * (9 - 5), 36)
     text = render_array(out, changed={5: old})
     lines = text.splitlines()
     assert len(lines) == 8                  # header, rules, 4 rows, projection
