@@ -120,10 +120,6 @@ def code_equal(a: "BinaryLinearCode", b: "BinaryLinearCode") -> bool:
 # ---------------------------------------------------------------------------
 # bulk enumeration helpers
 
-def popcount64(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def xor_span(rows: Sequence[int]) -> np.ndarray:
     """All 2^len(rows) XOR combinations as a uint64 array (doubling)."""
     table = np.zeros(1, dtype=np.uint64)
@@ -152,7 +148,7 @@ def _span_distribution(rows: Sequence[int], n: int) -> tuple[int, ...]:
     enumerating all 2^len(rows) words."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for chunk in iter_span_chunks(rows):
-        counts += np.bincount(popcount64(chunk), minlength=n + 1)
+        counts += np.bincount(np.bitwise_count(chunk), minlength=n + 1)
     return tuple(int(c) for c in counts)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import gf4
 from .bitlin import CosetTable, format_bits, format_matrix, parse_bits
 from .decoder import DecoderContext, decode
-from .projection import Variant, parity_profile, render_array, to_array
+from .projection import Variant, parity_profile, render_array
 from .quaternary import QuaternaryCode, c4_9, c4_10, format_gf4_matrix
 
 BINARY_CODES = {
@@ -171,7 +171,6 @@ def cmd_decode(args, parser) -> int:
         parser.error(f"received word must be {ctx.n} bits, got {width}")
     outcome = decode(ctx, received)
 
-    arr = to_array(received, ctx.n)
     if outcome.ok:
         trace = outcome.trace
         syndrome = trace.syndrome
@@ -182,21 +181,20 @@ def cmd_decode(args, parser) -> int:
         decoded_str = format_bits(outcome.codeword, ctx.n)
     else:
         syndrome = gf4.unpack(ctx.syndrome_packed(received), 4)
-        p = parity_profile(arr).p
+        p = parity_profile(received, ctx.m).p
         positions = []
         branch = None
         decoded_str = None
 
     if args.trace:
         print("received:")
-        print(render_array(arr))
+        print(render_array(received, ctx.m))
         if outcome.ok:
             changed = {c: old for c, old, _ in trace.corrections}
             print(f"branch {branch}; syndrome ({gf4.format_vector(syndrome)}); "
                   f"p = {p}; {trace.error_weight} bit(s) corrected")
             print("decoded:")
-            print(render_array(to_array(outcome.codeword, ctx.n),
-                               changed=changed))
+            print(render_array(outcome.codeword, ctx.m, changed=changed))
         else:
             print(f"decode failed: {outcome.reason} "
                   f"(syndrome ({gf4.format_vector(syndrome)}), p = {p})")

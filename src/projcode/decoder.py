@@ -50,7 +50,7 @@ from operator import attrgetter
 from . import gf4
 from .bitlin import BinaryLinearCode, _byte_tables, _unit_syndromes
 from .projection import (NIBBLE_VALUE, ParityProfile, Variant, construct,
-                         select_candidate)
+                         parity_profile, select_candidate)
 from .quaternary import QuaternaryCode
 
 FAIL_PARITY = "parity-inconsistent"
@@ -146,23 +146,19 @@ def _build_trace(received: int, error: int, info: tuple,
     """The trace of a decode from the values it kept: the parity-pattern
     entry of ``_col_info`` and the packed syndrome.  The repaired columns
     and the branch label are read back from the error."""
-    pars, p, _, rho, minority = info[:5]
-    m = len(pars)
-    y_odd = sum(pars)
-    f = (received & int("1000" * m, 2)).bit_count() & 1
+    m, p, _, rho, minority = info[:5]
+    profile = parity_profile(received, m)
     nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
     other = tuple(c for c in range(1, m + 1)
                   if nibbles[c] and c not in minority)
     nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
     branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
     if branch == "b.i":
-        branch += ".1" if f ^ rho else ".2"
+        branch += ".1" if profile.first_row_parity ^ rho else ".2"
     corrections = []
     for c in minority + other:
         old = (received >> 4 * (m - c)) & 15
         corrections.append((c, old, old ^ nibbles[c]))
-    profile = ParityProfile(column_parities=pars, first_row_parity=f,
-                            y_odd=y_odd, y_even=m - y_odd, p=p)
     return DecodeTrace(profile=profile, syndrome=gf4.unpack(s8, 4),
                        branch=branch, corrections=tuple(corrections),
                        error_weight=error.bit_count())
@@ -198,12 +194,12 @@ class DecoderContext:
 
     def _col_info(self, word: int) -> tuple:
         """What decode needs of the word's column parities, cached on the
-        parity pattern: (column parities, p, majority parity pi (None on a
-        tie), expected first-row parity rho, minority columns, search,
-        table).  ``search`` pairs each coefficient of the first minority
-        column with its packed syndrome multiple when p is odd and is
-        ((0, 0),) otherwise; ``table`` is the pair table of the last two
-        minority columns when p >= 2, else the single-column table."""
+        parity pattern: (m, p, majority parity pi (None on a tie), expected
+        first-row parity rho, minority columns, search, table).  ``search``
+        pairs each coefficient of the first minority column with its packed
+        syndrome multiple when p is odd and is ((0, 0),) otherwise;
+        ``table`` is the pair table of the last two minority columns when
+        p >= 2, else the single-column table."""
         t = word ^ (word >> 2)
         colbits = (t ^ (t >> 1)) & self.col_parity_mask
         info = self._profiles.get(colbits)
@@ -227,7 +223,7 @@ class DecoderContext:
                     search = self._multiples[minority[0]]
                 if p >= 2:
                     table = self.c4.pair_table(*minority[-2:])
-            info = (pars, p, majority, rho, minority, search, table)
+            info = (m, p, majority, rho, minority, search, table)
             self._profiles[colbits] = info
         return info
 

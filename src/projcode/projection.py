@@ -4,7 +4,8 @@ A binary word v of length 4m is viewed as a 4 x m array: column i holds
 coordinates 4(i-1)+1 .. 4i, and the four rows are labelled with the field
 elements 0, 1, w, W.  The projection of column i is the inner product of
 the column with its row labels, i.e. rows 2-4 contribute 1, w, W when set.
-Columns are stored as 4-bit nibbles with the row-0 entry in the top bit.
+A word is a packed int whose column i is the nibble at bit 4(m-i), with
+the row-0 entry in the nibble's top bit.
 
 Two binary codes are built on top of a quaternary code C4:
 
@@ -68,69 +69,35 @@ def select_candidate(value: int, parity: int, first_bit: int) -> int:
     return _CANDIDATE[value][parity & 1][first_bit & 1]
 
 
-@dataclass(frozen=True)
-class CodewordArray:
-    """A binary word of length 4m arranged as m column nibbles."""
-    columns: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.columns)
-
-    def column(self, i: int) -> int:
-        """Column i, 1-based."""
-        return self.columns[i - 1]
-
-
-def to_array(word: int, n: int) -> CodewordArray:
-    """Split a length-n (= 4m) word into column nibbles."""
-    if n % 4:
-        raise ValueError(f"length {n} is not a multiple of 4")
-    m = n // 4
-    return CodewordArray(tuple((word >> (4 * (m - i))) & 15
-                               for i in range(1, m + 1)))
-
-
-def project(arr: CodewordArray) -> tuple[int, ...]:
-    """Columnwise projection onto GF(4)."""
-    return tuple(NIBBLE_VALUE[nib] for nib in arr.columns)
+def project(word: int, m: int) -> tuple[int, ...]:
+    """Columnwise projection of a length-4m word onto GF(4)."""
+    return tuple(NIBBLE_VALUE[(word >> 4 * (m - i)) & 15]
+                 for i in range(1, m + 1))
 
 
 @dataclass(frozen=True)
 class ParityProfile:
-    """Column parities of an array plus the derived decoding quantities."""
+    """Column parities of a word plus the derived decoding quantities."""
     column_parities: tuple[int, ...]
     first_row_parity: int
     y_odd: int
     y_even: int
     p: int
 
-    @property
-    def majority_parity(self) -> int | None:
-        """Parity shared by most columns; None on a tie."""
-        if self.y_odd == self.y_even:
-            return None
-        return 1 if self.y_odd > self.y_even else 0
 
-    @property
-    def minority_columns(self) -> tuple[int, ...]:
-        maj = self.majority_parity
-        return tuple(i + 1 for i, par in enumerate(self.column_parities)
-                     if par != maj)
-
-
-def parity_profile(arr: CodewordArray) -> ParityProfile:
-    pars = tuple(nib.bit_count() & 1 for nib in arr.columns)
+def parity_profile(word: int, m: int) -> ParityProfile:
+    """The parity profile of a length-4m word.  Bit 4(m - i) of
+    ``t ^ (t >> 1)``, t = word ^ (word >> 2), is the parity of column i."""
+    t = word ^ (word >> 2)
+    colbits = t ^ (t >> 1)
+    pars = tuple((colbits >> 4 * (m - i)) & 1 for i in range(1, m + 1))
     y_odd = sum(pars)
-    first = 0
-    for nib in arr.columns:
-        first ^= nib >> 3
     return ParityProfile(
         column_parities=pars,
-        first_row_parity=first,
+        first_row_parity=(word & int("1000" * m, 2)).bit_count() & 1,
         y_odd=y_odd,
-        y_even=len(pars) - y_odd,
-        p=min(y_odd, len(pars) - y_odd),
+        y_even=m - y_odd,
+        p=min(y_odd, m - y_odd),
     )
 
 
@@ -198,31 +165,29 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     return True
 
 
-def render_array(arr: CodewordArray, changed: dict[int, int] | None = None,
-                 show_projection: bool = True) -> str:
-    """Labelled 4 x m table: row labels 0/1/w/W, one column per symbol.
+def render_array(word: int, m: int,
+                 changed: dict[int, int] | None = None) -> str:
+    """Labelled 4 x m table of a length-4m word: row labels 0/1/w/W, one
+    column per symbol, and the projection underneath.
 
     ``changed`` maps 1-based column indices to the previous nibble; bits
     that differ are marked with a trailing ``*``.
     """
     changed = changed or {}
-    m = arr.m
     width = max(3, len(str(m)) + 1)
     header = "    |" + "".join(f"{i:>{width}}" for i in range(1, m + 1))
-    lines = [header, "    +" + "-" * (width * m)]
+    rule = "    +" + "-" * (width * m)
+    lines = [header, rule]
     for row, label in enumerate("01wW"):
         cells = []
         for i in range(1, m + 1):
-            nib = arr.column(i)
-            bit = (nib >> (3 - row)) & 1
+            bit = (word >> (4 * (m - i) + 3 - row)) & 1
             old = changed.get(i)
             mark = "*" if old is not None and ((old >> (3 - row)) & 1) != bit \
                 else " "
             cells.append(f"{bit}{mark}".rjust(width))
         lines.append(f"  {label} |" + "".join(cells))
-    if show_projection:
-        lines.append("    +" + "-" * (width * m))
-        proj = project(arr)
-        cells = "".join(f"{gf4.format_element(v):>{width}}" for v in proj)
-        lines.append("    |" + cells)
+    lines.append(rule)
+    lines.append("    |" + "".join(f"{gf4.format_element(v):>{width}}"
+                                   for v in project(word, m)))
     return "\n".join(lines)

@@ -17,8 +17,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
+import numpy as np
+
 from . import gf4
-from .bitlin import rank
+from .bitlin import rank, xor_span
 
 GF4Vector = tuple[int, ...]
 Syndrome = tuple[int, int, int, int]
@@ -124,14 +126,12 @@ class QuaternaryCode:
     def weight_distribution(self) -> tuple[int, ...]:
         """(A_0, ..., A_m) over all 2^r codewords."""
         if self._wdist is None:
-            nonzero_mask = int("01" * self.m, 2)
-            table = [0]
-            for g in self._packed_gens:
-                table += [v ^ g for v in table]
-            counts = [0] * (self.m + 1)
-            for v in table:
-                counts[((v | (v >> 1)) & nonzero_mask).bit_count()] += 1
-            self._wdist = tuple(counts)
+            words = xor_span(self._packed_gens)
+            nonzero = ((words | words >> np.uint64(1))
+                       & np.uint64(int("01" * self.m, 2)))
+            counts = np.bincount(np.bitwise_count(nonzero),
+                                 minlength=self.m + 1)
+            self._wdist = tuple(int(c) for c in counts)
         return self._wdist
 
     def min_weight(self) -> int:
@@ -185,20 +185,18 @@ _H10 = """
 """
 
 
-def _parse_rows(text: str) -> list[GF4Vector]:
-    return [gf4.parse_vector(line) for line in text.strip().splitlines()]
-
-
 @lru_cache(maxsize=None)
 def c4_9() -> QuaternaryCode:
     """The (9, 2^10) additive code with minimum weight 4."""
-    return QuaternaryCode("c4-9", _parse_rows(_G9), _parse_rows(_H9))
+    return QuaternaryCode("c4-9", parse_gf4_matrix(_G9),
+                          parse_gf4_matrix(_H9))
 
 
 @lru_cache(maxsize=None)
 def c4_10() -> QuaternaryCode:
     """The (10, 2^12) additive code with minimum weight 4."""
-    return QuaternaryCode("c4-10", _parse_rows(_G10), _parse_rows(_H10))
+    return QuaternaryCode("c4-10", parse_gf4_matrix(_G10),
+                          parse_gf4_matrix(_H10))
 
 
 def parse_gf4_matrix(text: str) -> list[GF4Vector]:

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from projcode.bitlin import BinaryLinearCode, iter_span_chunks, popcount64
+from projcode.bitlin import BinaryLinearCode, iter_span_chunks
 from projcode.decoder import DecoderContext
-from projcode.projection import CodewordArray, Variant
+from projcode.projection import NIBBLE_VALUE, ParityProfile, Variant
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 BINARY_IDS = ("o36", "e36", "o40", "e40")
@@ -60,20 +60,44 @@ def make_context(code_id: str) -> DecoderContext:
     return DecoderContext(base, variant)
 
 
-def array_from_rows(rows: tuple[str, str, str, str]) -> CodewordArray:
-    """Build a column array from the four row strings of a worked example."""
-    bits = [r.split() for r in rows]
-    m = len(bits[0])
-    return CodewordArray(tuple(
-        int("".join(bits[r][i] for r in range(4)), 2) for i in range(m)))
-
-
 def word_from_rows(rows: tuple[str, str, str, str]) -> int:
     """The packed word of a worked example given by its four row strings."""
     word = 0
-    for nib in array_from_rows(rows).columns:
-        word = word << 4 | nib
+    for column in zip(*(r.split() for r in rows)):
+        word = word << 4 | int("".join(column), 2)
     return word
+
+
+def columns(word: int, m: int) -> list[int]:
+    """The m column nibbles of a length-4m word, column 1 first."""
+    return [(word >> 4 * (m - i)) & 15 for i in range(1, m + 1)]
+
+
+def reference_project(word: int, m: int) -> tuple[int, ...]:
+    """``project`` nibble by nibble."""
+    return tuple(NIBBLE_VALUE[nib] for nib in columns(word, m))
+
+
+def reference_parity_profile(word: int, m: int) -> ParityProfile:
+    """``parity_profile`` nibble by nibble: the parity of each column and
+    the XOR of the columns' top bits."""
+    nibbles = columns(word, m)
+    pars = tuple(nib.bit_count() & 1 for nib in nibbles)
+    first = 0
+    for nib in nibbles:
+        first ^= nib >> 3
+    y_odd = sum(pars)
+    return ParityProfile(column_parities=pars, first_row_parity=first,
+                         y_odd=y_odd, y_even=m - y_odd,
+                         p=min(y_odd, m - y_odd))
+
+
+def minority_columns(profile: ParityProfile) -> tuple[int, ...]:
+    """The 1-based columns whose parity differs from the majority's, for a
+    profile without a parity tie."""
+    majority = int(profile.y_odd > profile.y_even)
+    return tuple(i for i, par in enumerate(profile.column_parities, 1)
+                 if par != majority)
 
 
 def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
@@ -94,12 +118,12 @@ def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
         odd = colpar == col_mask
         if not np.all(odd | (colpar == 0)):
             return False
-        first = (popcount64(chunk & first_mask) & one).astype(bool)
+        first = (np.bitwise_count(chunk & first_mask) & one).astype(bool)
         if not np.array_equal(first, odd if variant is Variant.O
                               else np.zeros_like(odd)):
             return False
         for mask in synd_masks:
-            if np.any(popcount64(chunk & mask) & one):
+            if np.any(np.bitwise_count(chunk & mask) & one):
                 return False
     return True
 

@@ -114,7 +114,7 @@ def test_weight_distribution_small_codes():
 def _enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
     counts = np.zeros(code.n + 1, dtype=np.int64)
     for chunk in bitlin.iter_span_chunks(code.generator):
-        counts += np.bincount(bitlin.popcount64(chunk), minlength=code.n + 1)
+        counts += np.bincount(np.bitwise_count(chunk), minlength=code.n + 1)
     return tuple(int(c) for c in counts)
 
 

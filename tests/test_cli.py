@@ -7,11 +7,12 @@ import pytest
 from projcode import cli, gf4
 from projcode.bitlin import BinaryLinearCode, code_equal, format_bits, parse_matrix
 from projcode.cli import main
-from projcode.projection import parity_profile, project, to_array
+from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
 from conftest import word_from_rows
-from golden import DECODE_EXAMPLES, QDIST_9, WDIST_O36
+from golden import (CLI_TRACE_E40_EXAMPLE_4, CLI_TRACE_O36_REFUSED,
+                    DECODE_EXAMPLES, QDIST_9, REFUSED_O36_WORD, WDIST_O36)
 
 
 def run(capsys, *argv):
@@ -141,6 +142,18 @@ def test_decode_trace_rendering(capsys):
     assert out.count("*") == 3      # three corrected bits marked
 
 
+@pytest.mark.parametrize("code_id, word, rv_expected, lines", [
+    ("e40", example_word(4), 0, CLI_TRACE_E40_EXAMPLE_4),
+    ("o36", REFUSED_O36_WORD, 1, CLI_TRACE_O36_REFUSED),
+], ids=["e40-example-4", "o36-refused"])
+def test_decode_trace_golden_output(capsys, code_id, word, rv_expected,
+                                    lines):
+    rv, out, err = run(capsys, "decode", code_id, word, "--trace")
+    assert rv == rv_expected
+    assert out == "\n".join(lines) + "\n"
+    assert err == ""
+
+
 def test_decode_failure(capsys):
     word = "1111" + "0" * 32        # distance 4 from the zero codeword
     rv, out, err = run(capsys, "decode", "o36", word)
@@ -158,16 +171,15 @@ def test_decode_failure(capsys):
 
 def test_decode_failure_reports_syndrome_and_p(capsys, contexts):
     # weight 4 in two odd columns: p = 2 and an unsolvable syndrome
-    word = "1110" + "0" * 12 + "0100" + "0" * 16
+    word = REFUSED_O36_WORD
     rv, out, _ = run(capsys, "decode", "o36", word, "--json")
     assert rv == 1
     payload = json.loads(out)
     assert (payload["syndrome"], payload["p"]) == ("w 1 w 1", 2)
     # the decoder's packed syndrome equals the projected word's syndrome
-    arr = to_array(int(word, 2), 36)
     assert payload["syndrome"] == gf4.format_vector(
-        contexts["o36"].c4.syndrome(project(arr)))
-    assert payload["p"] == parity_profile(arr).p
+        contexts["o36"].c4.syndrome(project(int(word, 2), 9)))
+    assert payload["p"] == parity_profile(int(word, 2), 9).p
 
 
 def test_decode_rejects_wrong_length(capsys):

@@ -13,10 +13,10 @@ from projcode import DecodeOutcome, gf4
 from projcode.bitlin import CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
                               decode)
-from projcode.projection import (parity_profile, project, select_candidate,
-                                 to_array)
+from projcode.projection import project, select_candidate
 
-from conftest import (BINARY_IDS, BRANCH_ERRORS, make_context, plant,
+from conftest import (BINARY_IDS, BRANCH_ERRORS, make_context,
+                      minority_columns, plant, reference_parity_profile,
                       word_from_rows)
 from golden import DECODE_EXAMPLES
 
@@ -41,9 +41,9 @@ def test_worked_example_trace(num, contexts):
     assert trace.syndrome == tuple(gf4.parse_vector(ex["syndrome"]))
     assert trace.corrections == ex["corrections"]
     assert trace.error_weight == ex["weight"]
-    assert trace.profile == parity_profile(to_array(received, ctx.n))
+    assert trace.profile == reference_parity_profile(received, ctx.m)
     assert trace.profile.p == ex["p"]
-    assert project(to_array(received, ctx.n)) \
+    assert project(received, ctx.m) \
         == tuple(gf4.parse_vector(ex["projection"]))
     assert out.codeword in ctx.binary_code
     assert out.error == received ^ out.codeword
@@ -58,12 +58,12 @@ def test_example_corrections_via_column_surgery(contexts):
     ctx = contexts["e36"]
     received = word_from_rows(ex["rows"])
     out = decode(ctx, received)
-    step1 = to_array(received ^ 0b1000 << 4 * (9 - 8), 36)
-    first_row = sum(nib >> 3 for nib in step1.columns) & 1
-    column5 = select_candidate(0, 1, (step1.column(5) >> 3) ^ first_row)
+    step1 = received ^ 0b1000 << 4 * (9 - 8)
+    first_row = (step1 & int("1000" * 9, 2)).bit_count() & 1
+    old5 = (step1 >> 4 * (9 - 5)) & 15
+    column5 = select_candidate(0, 1, (old5 >> 3) ^ first_row)
     assert column5 == 0b0111
-    step2 = sum((column5 if i == 5 else nib) << 4 * (9 - i)
-                for i, nib in enumerate(step1.columns, 1))
+    step2 = step1 ^ (old5 ^ column5) << 4 * (9 - 5)
     assert step2 == out.codeword
 
 
@@ -93,7 +93,7 @@ def test_all_branches_recover_planted_errors(code_id, contexts):
             # corrections: the minority columns in index order, then at
             # most one other column
             cols = tuple(c for c, _, _ in out.trace.corrections)
-            minority = out.trace.profile.minority_columns
+            minority = minority_columns(out.trace.profile)
             assert cols[:len(minority)] == minority
             assert len(cols) <= len(minority) + 1
 

@@ -3,24 +3,28 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, parse_bits, rank
 from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
-                                 CodewordArray, Variant, construct,
+                                 ParityProfile, Variant, construct,
                                  d_code_generators, has_projection,
                                  parity_profile, phi, project, render_array,
-                                 select_candidate, to_array)
+                                 select_candidate)
 from projcode.quaternary import c4_9, c4_10
 
-from conftest import (BINARY_IDS, array_from_rows,
-                      enumerated_has_projection, word_from_rows)
+from conftest import (BINARY_IDS, enumerated_has_projection,
+                      minority_columns, reference_parity_profile,
+                      reference_project, word_from_rows)
 from golden import (COSET_TABLE, DECODE_EXAMPLES, PROJ_EXAMPLE_VALUE,
                     PROJ_EXAMPLE_WORD)
 
 words36 = st.integers(min_value=0, max_value=(1 << 36) - 1)
+# (m, word) with a word of length 4m for m = 9 or 10
+sized_words = st.sampled_from((9, 10)).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, (1 << 4 * m) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +32,7 @@ words36 = st.integers(min_value=0, max_value=(1 << 36) - 1)
 
 def test_projection_example():
     word, n = parse_bits(PROJ_EXAMPLE_WORD)
-    arr = to_array(word, n)
-    assert project(arr) == tuple(gf4.parse_vector(PROJ_EXAMPLE_VALUE))
-    assert sum(nib << 4 * (arr.m - i)
-               for i, nib in enumerate(arr.columns, 1)) == word
+    assert project(word, n // 4) == tuple(gf4.parse_vector(PROJ_EXAMPLE_VALUE))
 
 
 def test_phi_blocks_project_back():
@@ -67,26 +68,20 @@ def test_select_candidate_examples():
 
 
 # ---------------------------------------------------------------------------
-# array packing
+# projection and parity profile against the nibble-by-nibble reference
 
-@given(words36)
-def test_array_round_trip(word):
-    arr = to_array(word, 36)
-    assert arr.m == 9
-    for i in range(1, 10):
-        assert arr.column(i) == (word >> (4 * (9 - i))) & 15
-
-
-def test_to_array_rejects_bad_length():
-    with pytest.raises(ValueError):
-        to_array(0, 10)
+@given(sized_words)
+@example((9, int("0001" * 5 + "1111" * 4, 2)))          # p = 4
+@example((10, int("0100" * 5 + "0000" * 5, 2)))         # a parity tie
+def test_project_matches_nibble_reference(sized_word):
+    m, word = sized_word
+    assert project(word, m) == reference_project(word, m)
 
 
 @given(words36, words36)
 def test_projection_is_additive(a, b):
-    pa, pb = project(to_array(a, 36)), project(to_array(b, 36))
-    assert project(to_array(a ^ b, 36)) == tuple(x ^ y
-                                                 for x, y in zip(pa, pb))
+    pa, pb = project(a, 9), project(b, 9)
+    assert project(a ^ b, 9) == tuple(x ^ y for x, y in zip(pa, pb))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def test_phi_doubles_weight_and_projects_back(symbols):
     x = tuple(symbols)
     word = phi(x)
     assert bin(word).count("1") == 2 * (len(x) - x.count(0))
-    assert project(to_array(word, 4 * len(x))) == x
+    assert project(word, len(x)) == x
 
 
 def test_phi_is_additive():
@@ -114,7 +109,7 @@ def test_d_code_generators_shape(m, variant):
     assert rank(rows, 4 * m) == m
     # every d row projects to the zero GF(4) word
     for row in rows:
-        assert project(to_array(row, 4 * m)) == (0,) * m
+        assert project(row, m) == (0,) * m
 
 
 def test_d_code_extra_row():
@@ -135,25 +130,27 @@ def test_d_code_extra_row():
 def test_parity_profile_of_worked_examples():
     expected_minority = {1: (5, 6), 2: (8,), 3: (), 4: (3, 8, 10)}
     for num, ex in DECODE_EXAMPLES.items():
-        prof = parity_profile(array_from_rows(ex["rows"]))
+        m = len(ex["rows"][0].split())
+        prof = parity_profile(word_from_rows(ex["rows"]), m)
         assert prof.p == ex["p"]
-        assert prof.y_odd + prof.y_even == len(prof.column_parities)
-        assert prof.minority_columns == expected_minority[num]
-        assert len(prof.minority_columns) == prof.p
+        assert prof.y_odd + prof.y_even == len(prof.column_parities) == m
+        assert minority_columns(prof) == expected_minority[num]
+        assert len(minority_columns(prof)) == prof.p
 
 
-def test_parity_profile_counts():
-    arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
-    prof = parity_profile(arr)
-    assert prof.column_parities == tuple(
-        arr.column(i).bit_count() & 1 for i in range(1, 10))
-    assert prof.first_row_parity == \
-        sum(arr.column(i) >> 3 for i in range(1, 10)) & 1
+@given(sized_words)
+@example((9, int("0001" * 5 + "1111" * 4, 2)))          # p = 4
+@example((10, int("0100" * 5 + "0000" * 5, 2)))         # a parity tie
+@example((10, int("1000" * 10, 2)))                     # every column odd
+def test_parity_profile_counts(sized_word):
+    m, word = sized_word
+    assert parity_profile(word, m) == reference_parity_profile(word, m)
 
 
 def test_parity_profile_tie():
-    arr = CodewordArray((0b1000, 0b0000))
-    assert parity_profile(arr).majority_parity is None
+    prof = parity_profile(0b1000_0000, 2)
+    assert prof == ParityProfile(column_parities=(1, 0), first_row_parity=1,
+                                 y_odd=1, y_even=1, p=1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +169,9 @@ def test_generator_projections_span_the_quaternary_code(contexts):
         c4 = ctx.c4
         gens = ctx.binary_code.generator
         for row, qrow in zip(gens[:c4.r], c4.generators):
-            assert project(to_array(row, ctx.binary_code.n)) == qrow
+            assert project(row, ctx.m) == qrow
         for row in gens[c4.r:]:
-            assert project(to_array(row, ctx.binary_code.n)) == (0,) * c4.m
+            assert project(row, ctx.m) == (0,) * c4.m
 
 
 def test_construct_matches_context(contexts):
@@ -244,9 +241,9 @@ def test_random_codeword_projections_live_in_c4(contexts):
         code = ctx.binary_code
         for _ in range(100):
             word = code.encode(rng.getrandbits(code.k))
-            y = project(to_array(word, code.n))
+            y = project(word, ctx.m)
             assert not any(ctx.c4.syndrome(y))
-            prof = parity_profile(to_array(word, code.n))
+            prof = parity_profile(word, ctx.m)
             assert prof.p == 0    # all columns share one parity
             if ctx.variant is Variant.E:
                 assert prof.first_row_parity == 0
@@ -260,7 +257,7 @@ def test_random_codeword_projections_live_in_c4(contexts):
 def _projection_of_example_1(flips: int = 0) -> tuple[int, ...]:
     """The projection of worked example 1 with ``flips`` XORed in."""
     word = word_from_rows(DECODE_EXAMPLES[1]["rows"])
-    return project(to_array(word ^ flips, 36))
+    return project(word ^ flips, 9)
 
 
 def test_first_row_flip_preserves_projection():
@@ -284,16 +281,13 @@ def test_triple_flip_in_lower_rows_preserves_projection():
 # rendering
 
 def test_render_array_marks_changes():
-    arr = array_from_rows(DECODE_EXAMPLES[1]["rows"])
-    old = arr.column(5)
-    out = to_array(word_from_rows(DECODE_EXAMPLES[1]["rows"])
-                   ^ 0b0010 << 4 * (9 - 5), 36)
-    text = render_array(out, changed={5: old})
+    word = word_from_rows(DECODE_EXAMPLES[1]["rows"])
+    out = word ^ 0b0010 << 4 * (9 - 5)
+    text = render_array(out, 9, changed={5: (word >> 4 * (9 - 5)) & 15})
     lines = text.splitlines()
     assert len(lines) == 8                  # header, rules, 4 rows, projection
     assert lines[0].endswith("9")           # column header runs 1..9
     assert [ln[2] for ln in lines[2:6]] == ["0", "1", "w", "W"]
     assert text.count("*") == 1             # exactly the one flipped bit
     assert lines[-1].split("|")[1].split() == \
-        [gf4.format_element(v) for v in project(out)]
-    assert render_array(arr, show_projection=False).count("\n") == 5
+        [gf4.format_element(v) for v in project(out, 9)]
