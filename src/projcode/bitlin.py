@@ -178,38 +178,31 @@ def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# syndrome helpers (shared by BinaryLinearCode, CosetTable and the decoder)
+# syndrome tables
 
-def _unit_syndromes(parity_rows: Sequence[int], n: int) -> list[int]:
-    """Syndrome of each unit vector, indexed by bit position (LSB = 0)."""
-    out = []
-    for q in range(n):
-        s = 0
-        for j, h in enumerate(parity_rows):
-            if (h >> q) & 1:
-                s |= 1 << j
-        out.append(s)
-    return out
-
-
-def _byte_tables(unit_synd: Sequence[int], n: int) -> list[list[int]]:
-    """Per-byte lookup tables so a syndrome costs ceil(n/8) indexings."""
-    nbytes = (n + 7) // 8
+def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
+    """Per-byte lookup tables of the syndrome whose bit j is the parity of
+    ``parity_rows[j]``, so a syndrome costs ceil(n/8) indexings.  Each
+    unit entry is computed once; the rest XOR a lower entry with one."""
     tables = []
-    for b in range(nbytes):
+    for b in range(0, n, 8):
         t = [0] * 256
+        for q in range(b, min(b + 8, n)):
+            t[1 << q - b] = sum(((h >> q) & 1) << j
+                                for j, h in enumerate(parity_rows))
         for v in range(1, 256):
             low = v & -v
-            q = 8 * b + low.bit_length() - 1
-            t[v] = t[v ^ low] ^ (unit_synd[q] if q < n else 0)
+            t[v] = t[v ^ low] ^ t[low]
         tables.append(t)
     return tables
 
 
 class BinaryLinearCode:
-    """A binary [n, k] linear code given by k independent generator rows."""
+    """A binary [n, k] linear code given by k independent generator rows
+    and optionally a parity-check basis, which fixes the syndrome's bits."""
 
-    def __init__(self, rows: Sequence[int], n: int):
+    def __init__(self, rows: Sequence[int], n: int,
+                 parity_rows: Sequence[int] | None = None):
         self.n = n
         self.generator = tuple(rows)
         self.k = len(self.generator)
@@ -220,6 +213,14 @@ class BinaryLinearCode:
         self._reduced = reduced
         self._pivots = pivots
         self._parity_rows: tuple[int, ...] | None = None
+        if parity_rows is not None:
+            self._parity_rows = rows = tuple(parity_rows)
+            if len(rows) != n - self.k or rank(rows, n) != len(rows):
+                raise ValueError(f"parity rows are not {n - self.k} "
+                                 f"independent rows")
+            if any((g & h).bit_count() & 1
+                   for g in self.generator for h in rows):
+                raise ValueError("parity rows are not orthogonal to the code")
         self._synd_tables: list[list[int]] | None = None
         self._wdist: tuple[int, ...] | None = None
 
@@ -239,7 +240,7 @@ class BinaryLinearCode:
 
     @property
     def parity_rows(self) -> tuple[int, ...]:
-        """(n-k) parity-check rows derived from the reduced generator."""
+        """(n-k) parity-check rows, given or derived from the generator."""
         if self._parity_rows is None:
             pivot_set = set(self._pivots)
             free = [c for c in range(self.n) if c not in pivot_set]
@@ -255,8 +256,7 @@ class BinaryLinearCode:
 
     def syndrome(self, word: int) -> int:
         if self._synd_tables is None:
-            self._synd_tables = _byte_tables(
-                _unit_syndromes(self.parity_rows, self.n), self.n)
+            self._synd_tables = _byte_tables(self.parity_rows, self.n)
         s = 0
         for b, table in enumerate(self._synd_tables):
             s ^= table[(word >> (8 * b)) & 255]
@@ -307,9 +307,8 @@ class CosetTable:
         self.code = code
         self.max_weight = max_weight
         n = code.n
-        unit = _unit_syndromes(code.parity_rows, n)
         # unit syndrome by 1-based coordinate (coordinate c is bit n-c)
-        by_coord = [unit[n - c] for c in range(1, n + 1)]
+        by_coord = [code.syndrome(1 << (n - c)) for c in range(1, n + 1)]
         leaders: dict[int, int] = {0: 0}
         for w in range(1, max_weight + 1):
             for coords in itertools.combinations(range(1, n + 1), w):

@@ -180,7 +180,7 @@ def cmd_decode(args, parser) -> int:
         branch = trace.branch
         decoded_str = format_bits(outcome.codeword, ctx.n)
     else:
-        syndrome = gf4.unpack(ctx.syndrome_packed(received), 4)
+        syndrome = gf4.unpack(ctx.syndrome_packed(received) & 255, 4)
         p = parity_profile(received, ctx.m).p
         positions = []
         branch = None

@@ -9,9 +9,12 @@ transmitted word's columns, and the p minority columns M are exactly the
 columns holding an odd number of errors.  The expected first-row parity
 rho is pi for construction O and even for construction E, so delta =
 observed first-row parity XOR rho is the number of first-row errors mod 2.
+The decoder reads one syndrome, the code's own over ``projection_checks``:
+its top bit is delta, flipped for O when column 1 is a minority column.
 
-The error in column c projects to a coefficient e_c, and the syndrome of
-the projected word is s = sum of e_c H_c.  One rule decodes every case:
+The error in column c projects to a coefficient e_c, and the syndrome's
+low byte, that of the projected word, is s = sum of e_c H_c.  One rule
+decodes every case:
 
 1. Solve s = sum of e_c H_c over M, plus at most one other column x when
    p <= 1 (two errors in one even column).  The solution is unique because
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import gf4
-from .bitlin import BinaryLinearCode, _byte_tables, _unit_syndromes
+from .bitlin import BinaryLinearCode
 from .projection import (NIBBLE_VALUE, ParityProfile, Variant, construct,
                          parity_profile, select_candidate)
 from .quaternary import QuaternaryCode
@@ -146,7 +149,7 @@ def _build_trace(received: int, error: int, info: tuple,
     """The trace of a decode from the values it kept: the parity-pattern
     entry of ``_col_info`` and the packed syndrome.  The repaired columns
     and the branch label are read back from the error."""
-    m, p, _, rho, minority = info[:5]
+    m, p, _, minority = info[:4]
     profile = parity_profile(received, m)
     nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
     other = tuple(c for c in range(1, m + 1)
@@ -154,7 +157,7 @@ def _build_trace(received: int, error: int, info: tuple,
     nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
     branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
     if branch == "b.i":
-        branch += ".1" if profile.first_row_parity ^ rho else ".2"
+        branch += ".1" if nibbles[minority[0]] >> 3 else ".2"
     corrections = []
     for c in minority + other:
         old = (received >> 4 * (m - c)) & 15
@@ -174,32 +177,26 @@ class DecoderContext:
         m = c4.m
         self.m = m
         self.n = 4 * m
-        self.first_row_mask = int("1000" * m, 2)
         self.col_parity_mask = int("0001" * m, 2)
-        # one table per byte of the received word for the packed syndrome
-        # of its projection; bit j of the syndrome is the parity of mask
-        # 7 - j
-        self._synd_tables = _byte_tables(
-            _unit_syndromes(c4.syndrome_masks[::-1], self.n), self.n)
+        self._first_row_bit = self.n - self.binary_code.k - 1
         # (coefficient, packed multiple) pairs of each column, shared by the
         # parity patterns whose first minority column it is
         self._multiples = [tuple(enumerate(row)) for row in c4.colmul]
         self._profiles: dict[int, tuple] = {}
 
     def syndrome_packed(self, word: int) -> int:
-        s = 0
-        for b, table in enumerate(self._synd_tables):
-            s ^= table[(word >> (8 * b)) & 255]
-        return s
+        """The code's syndrome; its low byte is the projection's."""
+        return self.binary_code.syndrome(word)
 
     def _col_info(self, word: int) -> tuple:
         """What decode needs of the word's column parities, cached on the
-        parity pattern: (m, p, majority parity pi (None on a tie), expected
-        first-row parity rho, minority columns, search, table).  ``search``
-        pairs each coefficient of the first minority column with its packed
-        syndrome multiple when p is odd and is ((0, 0),) otherwise;
-        ``table`` is the pair table of the last two minority columns when
-        p >= 2, else the single-column table."""
+        parity pattern: (m, p, flip, minority columns, search, table).
+        ``flip``, XORed into the syndrome's top bit, is 1 for O when column
+        1 is a minority column and None on a tie.  ``search`` pairs each
+        coefficient of the first minority column with its packed syndrome
+        multiple when p is odd and is ((0, 0),) otherwise; ``table`` is the
+        pair table of the last two minority columns when p >= 2, else the
+        single-column table."""
         t = word ^ (word >> 2)
         colbits = (t ^ (t >> 1)) & self.col_parity_mask
         info = self._profiles.get(colbits)
@@ -208,22 +205,20 @@ class DecoderContext:
             y_odd = colbits.bit_count()
             y_even = m - y_odd
             p = min(y_odd, y_even)
-            if y_odd == y_even:
-                majority = None
-            else:
-                majority = 1 if y_odd > y_even else 0
-            rho = majority if self.variant is Variant.O else 0
+            majority = int(y_odd > y_even)
             pars = tuple((colbits >> (4 * (m - i))) & 1
                          for i in range(1, m + 1))
             minority = tuple(i for i, par in enumerate(pars, 1)
                              if par != majority)
+            flip = None if y_odd == y_even else int(
+                self.variant is Variant.O and pars[0] != majority)
             search, table = ((0, 0),), self.c4.single
-            if majority is not None and p <= 3:
+            if flip is not None and p <= 3:
                 if p & 1:
                     search = self._multiples[minority[0]]
                 if p >= 2:
                     table = self.c4.pair_table(*minority[-2:])
-            info = (m, p, majority, rho, minority, search, table)
+            info = (m, p, flip, minority, search, table)
             self._profiles[colbits] = info
         return info
 
@@ -234,10 +229,11 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     if received >> ctx.n:
         raise ValueError(f"word does not fit in {ctx.n} bits")
     info = ctx._col_info(received)
-    _, p, pi, rho, minority, search, table = info
-    if p > 3 or pi is None:
+    _, p, flip, minority, search, table = info
+    if p > 3 or flip is None:
         return _REFUSED_PARITY
-    s8 = ctx.syndrome_packed(received)
+    synd = ctx.syndrome_packed(received)
+    s8 = synd & 255
 
     # 1. solve: the coefficients of the minority columns, then that of the
     #    other column when one is used
@@ -261,14 +257,17 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
 
     # 2. repair: column t of cols is odd (a minority column) when t < p
     diff = 0
+    owed = (synd >> ctx._first_row_bit) ^ flip
     t = 0
     for c in cols:
         e = coeffs[t]
         odd = t < p
-        diff |= select_candidate(e, odd, odd and not e) << 4 * (m - c)
+        nib = select_candidate(e, odd, odd and not e)
+        owed ^= nib >> 3
+        diff |= nib << 4 * (m - c)
         t += 1
     # the last repaired column takes the first-row flip still owed
-    if (((received ^ diff) & ctx.first_row_mask).bit_count() ^ rho) & 1:
+    if owed:
         if not cols:
             return _REFUSED_UNCORRECTABLE
         diff ^= 0b1111 << 4 * (m - cols[-1])

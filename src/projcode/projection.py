@@ -129,40 +129,41 @@ def d_code_generators(m: int, variant: Variant) -> list[int]:
     return rows
 
 
+def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
+    """The n - k parity checks of ``construct(c4, variant)``, in syndrome
+    bit order: ``c4.syndrome_masks[::-1]``, so the low byte of the
+    syndrome is the packed GF(4) syndrome of the projection; the m - 1 sums
+    of columns i and i + 1; and the first row, plus column 1 for O.
+
+    A word meets them iff it projects into C4, its columns share one parity
+    and its first-row parity is that parity for O and 0 for E.  Each check
+    is GF(2)-linear, so a code meets them iff its generator rows do."""
+    m = c4.m
+    first = int("1000" * m, 2)
+    if variant is Variant.O:
+        first ^= 0xF << 4 * (m - 1)
+    return [*c4.syndrome_masks[::-1],
+            *(0xFF << 4 * (m - i - 1) for i in range(1, m)), first]
+
+
 def construct(c4: QuaternaryCode, variant: Variant) -> BinaryLinearCode:
-    """The [4m, m+r] binary code phi(C4) + d for the chosen variant."""
+    """The [4m, m+r] binary code phi(C4) + d for the chosen variant, with
+    ``projection_checks`` as its parity-check basis."""
     rows = [phi(g) for g in c4.generators]
     rows += d_code_generators(c4.m, variant)
-    return BinaryLinearCode(rows, 4 * c4.m)
+    return BinaryLinearCode(rows, 4 * c4.m, projection_checks(c4, variant))
 
 
 def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
                    variant: Variant) -> bool:
     """True iff every codeword projects into C4, has columns of one parity
-    and obeys the variant's first-row rule.
-
-    Each condition is GF(2)-linear, so the words meeting all of them form a
-    subspace and it suffices to check the k generator rows: the projected
-    syndrome (the parities of ``c4.syndrome_masks``) is zero; the vector of
-    column parities lies in {0, all-ones}; and, on that subspace, the
-    first-row parity equals the common column parity for O and is 0 for
-    E."""
-    m = c4.m
-    if code.n != 4 * m:
+    and obeys the variant's first-row rule: every generator row meets
+    every one of the ``projection_checks``."""
+    if code.n != 4 * c4.m:
         return False
-    col_mask = int("0001" * m, 2)
-    first_mask = int("1000" * m, 2)
-    for g in code.generator:
-        t = g ^ (g >> 2)
-        colpar = (t ^ (t >> 1)) & col_mask
-        if colpar not in (0, col_mask):
-            return False
-        expected = 1 if variant is Variant.O and colpar else 0
-        if (g & first_mask).bit_count() & 1 != expected:
-            return False
-        if any((g & mask).bit_count() & 1 for mask in c4.syndrome_masks):
-            return False
-    return True
+    checks = projection_checks(c4, variant)
+    return not any((g & h).bit_count() & 1
+                   for g in code.generator for h in checks)
 
 
 def render_array(word: int, m: int,

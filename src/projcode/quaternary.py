@@ -36,6 +36,7 @@ class QuaternaryCode:
         self.parity_check = tuple(tuple(h) for h in parity_check)
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
+        self._packed_gens = [gf4.pack(g) for g in self.generators]
         self._validate()
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
@@ -51,7 +52,6 @@ class QuaternaryCode:
                 self.single[self.colmul[i][e]] = (i, e)
         self._pairs: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
         self.syndrome_masks = self._syndrome_masks()
-        self._packed_gens = [gf4.pack(g) for g in self.generators]
         self._wdist: tuple[int, ...] | None = None
 
     def _validate(self) -> None:
@@ -72,8 +72,7 @@ class QuaternaryCode:
             if gf4.scale(gf4.OMEGA, self.generators[j]) != self.generators[j + 1]:
                 raise ValueError(
                     f"{self.name}: row {j + 2} is not w times row {j + 1}")
-        packed = [gf4.pack(g) for g in self.generators]
-        if rank(packed, 2 * self.m) != self.r:
+        if rank(self._packed_gens, 2 * self.m) != self.r:
             raise ValueError(f"{self.name}: generator rows are dependent")
 
     # -- basic queries -----------------------------------------------------

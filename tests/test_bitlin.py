@@ -104,6 +104,34 @@ def test_parity_rows_annihilate_code():
     assert 0b1000000 not in code
 
 
+def test_given_parity_rows_are_checked():
+    code = _hamming7()
+    h1, h2, h3 = code.parity_rows
+    with pytest.raises(ValueError, match="not 3 independent"):
+        BinaryLinearCode(code.generator, 7, [h1, h2])
+    with pytest.raises(ValueError, match="not 3 independent"):
+        BinaryLinearCode(code.generator, 7, [h1, h2, h1 ^ h2])
+    # independent, but the unit row meets a generator in one place
+    assert bitlin.rank([h1, h2, 0b1000000], 7) == 3
+    with pytest.raises(ValueError, match="orthogonal"):
+        BinaryLinearCode(code.generator, 7, [h1, h2, 0b1000000])
+
+
+def test_given_parity_rows_change_only_the_syndrome_bits():
+    derived = _hamming7()
+    h1, h2, h3 = derived.parity_rows
+    given = BinaryLinearCode(derived.generator, 7,
+                             [h1 ^ h2, h2 ^ h3, h1 ^ h2 ^ h3])
+    assert given.parity_rows != derived.parity_rows
+    assert given.syndrome(1) != derived.syndrome(1)
+    assert [w in given for w in range(128)] \
+        == [w in derived for w in range(128)]
+    assert given.weight_distribution() == derived.weight_distribution()
+    table_given, table_derived = CosetTable(given), CosetTable(derived)
+    assert [table_given.decode(w) for w in range(128)] \
+        == [table_derived.decode(w) for w in range(128)]
+
+
 def test_weight_distribution_small_codes():
     assert _repetition4().weight_distribution() == (1, 0, 0, 0, 1)
     # Hamming [7,4,3]: 1 + 7z^3 + 7z^4 + z^7

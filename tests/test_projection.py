@@ -11,7 +11,8 @@ from projcode.bitlin import BinaryLinearCode, parse_bits, rank
 from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
                                  ParityProfile, Variant, construct,
                                  d_code_generators, has_projection,
-                                 parity_profile, phi, project, render_array,
+                                 parity_profile, phi, project,
+                                 projection_checks, render_array,
                                  select_candidate)
 from projcode.quaternary import c4_9, c4_10
 
@@ -178,6 +179,32 @@ def test_construct_matches_context(contexts):
     from projcode.bitlin import code_equal
     assert code_equal(construct(c4_9(), Variant.O),
                       contexts["o36"].binary_code)
+
+
+def test_projection_checks_are_a_parity_check_basis(contexts):
+    for ctx in contexts.values():
+        checks = projection_checks(ctx.c4, ctx.variant)
+        code = ctx.binary_code
+        assert len(checks) == rank(checks, code.n) == code.n - code.k
+        assert code.parity_rows == tuple(checks)
+
+
+@given(st.sampled_from(BINARY_IDS), st.integers(0, (1 << 40) - 1))
+def test_syndrome_layout(contexts, code_id, word):
+    # low byte: the packed GF(4) syndrome of the projection; then the
+    # parity differences of adjacent columns; top bit: the first-row check
+    ctx = contexts[code_id]
+    m, y = ctx.m, word >> 40 - ctx.n
+    synd = ctx.binary_code.syndrome(y)
+    assert synd & 255 == gf4.pack(ctx.c4.syndrome(reference_project(y, m)))
+    prof = reference_parity_profile(y, m)
+    pars = prof.column_parities
+    for i in range(1, m):
+        assert (synd >> 7 + i) & 1 == pars[i - 1] ^ pars[i]
+    first_row = prof.first_row_parity
+    if ctx.variant is Variant.O:
+        first_row ^= pars[0]
+    assert synd >> m + 7 == first_row
 
 
 def test_has_projection_accepts_matching_variant(contexts):
