@@ -6,9 +6,9 @@ vector the way a generator matrix row is written.  Matrices are lists of
 row ints plus an explicit width.
 
 Weight distributions enumerate the smaller of a code and its dual,
-vectorised with numpy on uint64 words (n <= 64 is assumed throughout), and
-map a dual distribution back with the MacWilliams identity, so a [40,22]
-code costs a sweep of 2^18 words.
+vectorised with numpy on uint64 words (``BinaryLinearCode`` rejects
+n > 64), and map a dual distribution back with the MacWilliams identity,
+so a [40,22] code costs a sweep of 2^18 words.
 ``CosetTable`` implements syndrome decoding by stored coset leaders and is
 used as the ground-truth decoder in tests.
 """
@@ -180,9 +180,14 @@ def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # syndrome tables
 
+# the table of every byte past a word's length: the syndrome lookup always
+# reads eight bytes, and these pad a code's tables to eight
+_ZERO_TABLE = (0,) * 256
+
+
 def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
     """Per-byte lookup tables of the syndrome whose bit j is the parity of
-    ``parity_rows[j]``, so a syndrome costs ceil(n/8) indexings.  Each
+    ``parity_rows[j]``, so a syndrome costs one indexing per byte.  Each
     unit entry is computed once; the rest XOR a lower entry with one."""
     tables = []
     for b in range(0, n, 8):
@@ -203,6 +208,8 @@ class BinaryLinearCode:
 
     def __init__(self, rows: Sequence[int], n: int,
                  parity_rows: Sequence[int] | None = None):
+        if n > 64:
+            raise ValueError(f"length {n} exceeds 64 bits")
         self.n = n
         self.generator = tuple(rows)
         self.k = len(self.generator)
@@ -221,7 +228,7 @@ class BinaryLinearCode:
             if any((g & h).bit_count() & 1
                    for g in self.generator for h in rows):
                 raise ValueError("parity rows are not orthogonal to the code")
-        self._synd_tables: list[list[int]] | None = None
+        self._synd_tables: list[Sequence[int]] | None = None
         self._wdist: tuple[int, ...] | None = None
 
     # -- encoding ----------------------------------------------------------
@@ -255,15 +262,25 @@ class BinaryLinearCode:
         return self._parity_rows
 
     def syndrome(self, word: int) -> int:
-        if self._synd_tables is None:
-            self._synd_tables = _byte_tables(self.parity_rows, self.n)
-        s = 0
-        for b, table in enumerate(self._synd_tables):
-            s ^= table[(word >> (8 * b)) & 255]
-        return s
+        """The syndrome of a word in 0..2^n - 1: bit j is the parity of
+        ``parity_rows[j]`` over the word; ValueError outside that range."""
+        if word >> self.n:
+            raise ValueError(f"word does not fit in {self.n} bits")
+        tables = self._synd_tables
+        if tables is None:
+            tables = _byte_tables(self.parity_rows, self.n)
+            tables += [_ZERO_TABLE] * (8 - len(tables))
+            self._synd_tables = tables
+        t0, t1, t2, t3, t4, t5, t6, t7 = tables
+        b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
+        return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
+                ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
 
     def __contains__(self, word: int) -> bool:
-        return self.syndrome(word) == 0
+        try:
+            return self.syndrome(word) == 0
+        except ValueError:      # not a word of length n
+            return False
 
     # -- weight distribution -----------------------------------------------
 
@@ -323,7 +340,8 @@ class CosetTable:
 
     def decode(self, word: int) -> int | None:
         """Nearest codeword by coset leader, or None if the syndrome is
-        outside the table (word further than max_weight from the code)."""
+        outside the table (word further than max_weight from the code).
+        A word outside 0..2^n - 1 raises ValueError."""
         leader = self.leaders.get(self.code.syndrome(word))
         if leader is None:
             return None

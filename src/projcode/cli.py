@@ -247,12 +247,12 @@ def cmd_exhaust(args, parser) -> int:
              if args.oracle else None)
     words = [0] + [code.encode(_trial_rng(args.seed, t).getrandbits(code.k))
                    for t in range(args.samples)]
-    patterns = list(_error_patterns(ctx.n, args.max_weight))
     trials = 0
     wrong = 0
     oracle_mismatch = 0
-    for c in words:
-        for e in patterns:
+    # patterns outermost, so none is kept once its codewords are decoded
+    for e in _error_patterns(ctx.n, args.max_weight):
+        for c in words:
             y = c ^ e
             outcome = decode(ctx, y)
             trials += 1

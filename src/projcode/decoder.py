@@ -125,6 +125,8 @@ class DecodeOutcome:
 
 _REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
 _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
+# the ``_col_info`` entry of every parity pattern decode refuses
+_REFUSED_INFO = (None, None, None, None, None, None)
 
 
 def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
@@ -192,34 +194,35 @@ class DecoderContext:
         """What decode needs of the word's column parities, cached on the
         parity pattern: (m, p, flip, minority columns, search, table).
         ``flip``, XORed into the syndrome's top bit, is 1 for O when column
-        1 is a minority column and None on a tie.  ``search`` pairs each
-        coefficient of the first minority column with its packed syndrome
-        multiple when p is odd and is ((0, 0),) otherwise; ``table`` is the
-        pair table of the last two minority columns when p >= 2, else the
-        single-column table."""
+        1 is a minority column.  ``search`` pairs each coefficient of the
+        first minority column with its packed syndrome multiple when p is
+        odd and is ((0, 0),) otherwise; ``table`` is the pair table of the
+        last two minority columns when p >= 2, else the single-column
+        table.  Every pattern with p > 3 or a tie shares ``_REFUSED_INFO``,
+        whose ``flip`` is None.  A pattern and its complement have the same
+        minority columns and ``flip``, so they share one entry."""
         t = word ^ (word >> 2)
         colbits = (t ^ (t >> 1)) & self.col_parity_mask
         info = self._profiles.get(colbits)
         if info is None:
             m = self.m
             y_odd = colbits.bit_count()
-            y_even = m - y_odd
-            p = min(y_odd, y_even)
-            majority = int(y_odd > y_even)
-            pars = tuple((colbits >> (4 * (m - i))) & 1
-                         for i in range(1, m + 1))
-            minority = tuple(i for i, par in enumerate(pars, 1)
-                             if par != majority)
-            flip = None if y_odd == y_even else int(
-                self.variant is Variant.O and pars[0] != majority)
-            search, table = ((0, 0),), self.c4.single
-            if flip is not None and p <= 3:
+            p = min(y_odd, m - y_odd)
+            if p > 3 or 2 * y_odd == m:
+                info = _REFUSED_INFO
+            else:
+                majority = int(2 * y_odd > m)
+                minority = tuple(i for i in range(1, m + 1)
+                                 if (colbits >> 4 * (m - i) & 1) != majority)
+                flip = int(self.variant is Variant.O and 1 in minority)
+                search, table = ((0, 0),), self.c4.single
                 if p & 1:
                     search = self._multiples[minority[0]]
                 if p >= 2:
                     table = self.c4.pair_table(*minority[-2:])
-            info = (m, p, flip, minority, search, table)
+                info = (m, p, flip, minority, search, table)
             self._profiles[colbits] = info
+            self._profiles[colbits ^ self.col_parity_mask] = info
         return info
 
 
@@ -230,7 +233,7 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
         raise ValueError(f"word does not fit in {ctx.n} bits")
     info = ctx._col_info(received)
     _, p, flip, minority, search, table = info
-    if p > 3 or flip is None:
+    if flip is None:
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
     s8 = synd & 255

@@ -25,6 +25,9 @@ from .bitlin import rank, xor_span
 GF4Vector = tuple[int, ...]
 Syndrome = tuple[int, int, int, int]
 
+# the 16 coefficient pairs (a, b), shared as values by every pair table
+_PAIRS = tuple((a, b) for a in gf4.ELEMENTS for b in gf4.ELEMENTS)
+
 
 class QuaternaryCode:
     """An additive (m, 2^r) code over GF(4) with a 4-row parity check."""
@@ -110,13 +113,13 @@ class QuaternaryCode:
 
     def pair_table(self, i: int, j: int) -> dict[int, tuple[int, int]]:
         """Packed syndrome of a H_i + b H_j -> (a, b), all 16 pairs; the
-        pairs are distinct because any two columns are independent."""
+        pairs are distinct because any two columns are independent.  The
+        (a, b) values are the tuples of ``_PAIRS``, shared by all tables."""
         key = (i, j)
         table = self._pairs.get(key)
         if table is None:
             ci, cj = self.colmul[i], self.colmul[j]
-            table = {ci[a] ^ cj[b]: (a, b)
-                     for a in gf4.ELEMENTS for b in gf4.ELEMENTS}
+            table = {ci[ab[0]] ^ cj[ab[1]]: ab for ab in _PAIRS}
             self._pairs[key] = table
         return table
 

@@ -225,6 +225,49 @@ def test_syndrome_zero_iff_member(contexts):
     assert code.syndrome(1) != 0
 
 
+# words that do not fit in 40 bits: a codeword with bit 40 set, a high
+# unit vector and a negative int, which a shift reads as all ones
+OUTSIDE_40 = {"codeword-and-bit-40": lambda c: 1 << 40 | c,
+              "bit-45": lambda c: 1 << 45,
+              "negative": lambda c: -1}
+
+
+@pytest.mark.parametrize("make", OUTSIDE_40.values(), ids=OUTSIDE_40.keys())
+def test_words_outside_the_length_are_rejected(contexts, make):
+    code = contexts["o40"].binary_code
+    word = make(code.encode(12345))
+    assert word not in code
+    with pytest.raises(ValueError, match="40 bits"):
+        code.syndrome(word)
+
+
+def test_coset_decode_rejects_words_outside_the_length(contexts):
+    code = contexts["o40"].binary_code
+    table = CosetTable(code, max_weight=1)
+    c = code.encode(12345)
+    assert table.decode(c ^ 1) == c
+    with pytest.raises(ValueError, match="40 bits"):
+        table.decode(1 << 40 | c)
+
+
+def test_code_rejects_length_above_64():
+    assert BinaryLinearCode([1 << 63], 64).n == 64
+    with pytest.raises(ValueError, match="exceeds 64"):
+        BinaryLinearCode([1], 65)
+
+
+@given(st.data())
+def test_syndrome_bits_are_check_row_parities(data):
+    # repetition codes whose words fill one, five and all eight of the
+    # syndrome's byte tables
+    n = data.draw(st.sampled_from((4, 40, 64)))
+    code = BinaryLinearCode([(1 << n) - 1], n)
+    word = data.draw(st.integers(0, (1 << n) - 1))
+    expected = sum(((word & h).bit_count() & 1) << j
+                   for j, h in enumerate(code.parity_rows))
+    assert code.syndrome(word) == expected
+
+
 def test_coset_table_weight3_syndromes_distinct(contexts):
     # d = 8 means every error of weight <= 3 owns its syndrome
     code = contexts["o36"].binary_code

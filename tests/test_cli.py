@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -193,14 +194,40 @@ def test_decode_rejects_wrong_length(capsys):
 # exhaust
 
 def test_exhaust_small_sweep(capsys):
-    rv, out, _ = run(capsys, "exhaust", "o36", "--samples", "2",
-                     "--max-weight", "2", "--seed", "5", "--json")
+    argv = ("exhaust", "o36", "--samples", "2", "--max-weight", "2",
+            "--seed", "5")
+    rv, out, _ = run(capsys, *argv, "--json")
     assert rv == 0
     payload = json.loads(out)
     assert payload["trials"] == 3 * (1 + 36 + 36 * 35 // 2)
     assert payload["wrong"] == 0
     assert payload["oracle_mismatches"] == 0
     assert payload["ok"] is True
+    assert out == ('{"code": "o36", "max_weight": 2, "samples": 2, '
+                   '"seed": 5, "trials": 2001, "wrong": 0, '
+                   '"oracle_mismatches": 0, "ok": true}\n')
+    rv, out, _ = run(capsys, *argv)
+    assert rv == 0
+    assert out == ("2001 decodes over 3 codewords, errors up to weight 2: "
+                   "2001 correct, 0 wrong, 0 oracle mismatches\n")
+
+
+def test_exhaust_memory_does_not_grow_with_the_patterns(capsys):
+    # o40 has 10,701 error patterns of weight <= 3: held in a list they
+    # take about 400 KB, while the whole call without them, its decoder
+    # context included, takes about 140 KB
+    argv = ["exhaust", "o40", "--samples", "0", "--no-oracle"]
+    main(argv)          # first call: the quaternary code and lazy imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rv = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rv == 0
+    assert "10701 correct, 0 wrong" in capsys.readouterr().out
+    assert peak < 300 * 1024
 
 
 def test_exhaust_without_oracle(capsys, monkeypatch):

@@ -305,3 +305,22 @@ def test_outcome_constructs_by_keyword():
         == (False, None, None, None, FAIL_UNCORRECTABLE)
     assert out == DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
     assert "reason='uncorrectable'" in repr(out)
+
+
+# ---------------------------------------------------------------------------
+# decoder state
+
+@pytest.mark.parametrize("code_id, entries", [
+    ("o36", 1 + 9 + 36 + 84 + 1), ("e36", 1 + 9 + 36 + 84 + 1),
+    ("o40", 1 + 10 + 45 + 120 + 1), ("e40", 1 + 10 + 45 + 120 + 1)])
+def test_state_is_one_entry_per_minority_set(code_id, entries):
+    # one entry per minority set of at most three columns, plus one
+    # refusal entry shared by every pattern with p > 3 or a tie
+    ctx = make_context(code_id)
+    for subset in range(1 << ctx.m):
+        decode(ctx, sum(1 << 4 * i for i in range(ctx.m) if subset >> i & 1))
+    assert len(ctx._profiles) == 1 << ctx.m
+    assert len({id(info) for info in ctx._profiles.values()}) == entries
+    values = {id(ab) for i, j in itertools.combinations(range(1, ctx.m + 1), 2)
+              for ab in ctx.c4.pair_table(i, j).values()}
+    assert len(values) == 16
