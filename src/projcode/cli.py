@@ -254,12 +254,11 @@ def cmd_exhaust(args, parser) -> int:
     for e in _error_patterns(ctx.n, args.max_weight):
         for c in words:
             y = c ^ e
-            outcome = decode(ctx, y)
+            decoded = decode(ctx, y).codeword     # None for a refusal
             trials += 1
-            if not outcome.ok or outcome.codeword != c:
+            if decoded != c:
                 wrong += 1
-            if args.oracle and table.decode(y) != (
-                    outcome.codeword if outcome.ok else None):
+            if table is not None and table.decode(y) != decoded:
                 oracle_mismatch += 1
     ok = wrong == 0 and oracle_mismatch == 0
     payload = {

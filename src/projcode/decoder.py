@@ -9,8 +9,14 @@ transmitted word's columns, and the p minority columns M are exactly the
 columns holding an odd number of errors.  The expected first-row parity
 rho is pi for construction O and even for construction E, so delta =
 observed first-row parity XOR rho is the number of first-row errors mod 2.
-The decoder reads one syndrome, the code's own over ``projection_checks``:
-its top bit is delta, flipped for O when column 1 is a minority column.
+
+The decoder first counts the odd columns y with one popcount and, by one
+bit test on y, refuses p = min(y, m - y) > 3 or a tie, with no syndrome
+read.  Any other word reads one syndrome, the code's own over
+``projection_checks``.  Its bits 8 to m + 6, the parities of adjacent
+column pairs, give the parity pattern up to complement, so they index
+the context's entry for M; its top bit is delta, flipped for O when
+column 1 is a minority column.
 
 The error in column c projects to a coefficient e_c, and the syndrome's
 low byte, that of the projected word, is s = sum of e_c H_c.  One rule
@@ -41,13 +47,14 @@ decodes every case:
   p=2: c.i - c.iii  0 - 2 minority columns with a nonzero coefficient
   p=3: d.i - d.iv   0 - 3 minority columns with a nonzero coefficient
 
-Refused besides: p > 3, a parity tie and an unsolvable syndrome.  A
-decoded word must also pass the code's membership check.
+Refused besides the parity refusal: an unsolvable syndrome.  A decoded
+word must also pass the code's membership check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import attrgetter
 
 from . import gf4
@@ -125,8 +132,6 @@ class DecodeOutcome:
 
 _REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
 _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
-# the ``_col_info`` entry of every parity pattern decode refuses
-_REFUSED_INFO = (None, None, None, None, None, None)
 
 
 def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
@@ -148,8 +153,8 @@ _NUMERALS = ("i", "ii", "iii", "iv")
 
 def _build_trace(received: int, error: int, info: tuple,
                  s8: int) -> DecodeTrace:
-    """The trace of a decode from the values it kept: the parity-pattern
-    entry of ``_col_info`` and the packed syndrome.  The repaired columns
+    """The trace of a decode from the values it kept: the minority-set
+    entry of ``_profiles`` and the packed syndrome.  The repaired columns
     and the branch label are read back from the error."""
     m, p, _, minority = info[:4]
     profile = parity_profile(received, m)
@@ -181,61 +186,54 @@ class DecoderContext:
         self.n = 4 * m
         self.col_parity_mask = int("0001" * m, 2)
         self._first_row_bit = self.n - self.binary_code.k - 1
-        # (coefficient, packed multiple) pairs of each column, shared by the
-        # parity patterns whose first minority column it is
-        self._multiples = [tuple(enumerate(row)) for row in c4.colmul]
-        self._profiles: dict[int, tuple] = {}
+        # bit y is set when y odd columns leave p > 3 minority columns or
+        # a tie: the parity refusal
+        self._refused_counts = sum(1 << y for y in range(m + 1)
+                                   if min(y, m - y) > 3 or 2 * y == m)
+        self._key_mask = (1 << m - 1) - 1
+        # What decode needs of each minority set M of at most three columns,
+        # in the slot that the syndrome's adjacent-column-pair bits give:
+        # bit j is the parity of columns j + 1 and j + 2, so M's slot is
+        # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
+        # with p > 3 or a tie stay empty; decode refuses those first.
+        # An entry is (m, p, flip, minority, search, table).  ``flip``,
+        # XORed into the syndrome's top bit, is 1 for O when column 1 is a
+        # minority column.  ``search`` pairs each coefficient of the first
+        # minority column with its packed syndrome multiple when p is odd
+        # and is ((0, 0),) otherwise; ``table`` is the pair table of the
+        # last two minority columns when p >= 2, else the single-column
+        # table.
+        multiples = [tuple(enumerate(row)) for row in c4.colmul]
+        self._profiles: list[tuple | None] = [None] * (1 << m - 1)
+        for p in range(4):
+            for minority in combinations(range(1, m + 1), p):
+                search, table = ((0, 0),), c4.single
+                if p & 1:
+                    search = multiples[minority[0]]
+                if p >= 2:
+                    table = c4.pair_table(*minority[-2:])
+                flip = int(variant is Variant.O and 1 in minority)
+                pattern = sum(1 << c - 1 for c in minority)
+                self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
+                    m, p, flip, minority, search, table)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's."""
         return self.binary_code.syndrome(word)
 
-    def _col_info(self, word: int) -> tuple:
-        """What decode needs of the word's column parities, cached on the
-        parity pattern: (m, p, flip, minority columns, search, table).
-        ``flip``, XORed into the syndrome's top bit, is 1 for O when column
-        1 is a minority column.  ``search`` pairs each coefficient of the
-        first minority column with its packed syndrome multiple when p is
-        odd and is ((0, 0),) otherwise; ``table`` is the pair table of the
-        last two minority columns when p >= 2, else the single-column
-        table.  Every pattern with p > 3 or a tie shares ``_REFUSED_INFO``,
-        whose ``flip`` is None.  A pattern and its complement have the same
-        minority columns and ``flip``, so they share one entry."""
-        t = word ^ (word >> 2)
-        colbits = (t ^ (t >> 1)) & self.col_parity_mask
-        info = self._profiles.get(colbits)
-        if info is None:
-            m = self.m
-            y_odd = colbits.bit_count()
-            p = min(y_odd, m - y_odd)
-            if p > 3 or 2 * y_odd == m:
-                info = _REFUSED_INFO
-            else:
-                majority = int(2 * y_odd > m)
-                minority = tuple(i for i in range(1, m + 1)
-                                 if (colbits >> 4 * (m - i) & 1) != majority)
-                flip = int(self.variant is Variant.O and 1 in minority)
-                search, table = ((0, 0),), self.c4.single
-                if p & 1:
-                    search = self._multiples[minority[0]]
-                if p >= 2:
-                    table = self.c4.pair_table(*minority[-2:])
-                info = (m, p, flip, minority, search, table)
-            self._profiles[colbits] = info
-            self._profiles[colbits ^ self.col_parity_mask] = info
-        return info
-
 
 def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     """Bounded-distance projection decoding of a length-n word."""
-    m = ctx.m
     if received >> ctx.n:
         raise ValueError(f"word does not fit in {ctx.n} bits")
-    info = ctx._col_info(received)
-    _, p, flip, minority, search, table = info
-    if flip is None:
+    # 0. parities: refuse p > 3 or a tie before reading the syndrome
+    t = received ^ received >> 2
+    y_odd = ((t ^ t >> 1) & ctx.col_parity_mask).bit_count()
+    if ctx._refused_counts >> y_odd & 1:
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
+    info = ctx._profiles[synd >> 8 & ctx._key_mask]
+    m, p, flip, minority, search, table = info
     s8 = synd & 255
 
     # 1. solve: the coefficients of the minority columns, then that of the

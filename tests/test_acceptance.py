@@ -10,6 +10,7 @@ criterion 10's sweep over every coset of the four codes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -23,7 +24,8 @@ from projcode.quaternary import c4_9, c4_10
 
 from conftest import (ACCEPTANCE_LINES, BINARY_IDS, BRANCH_ERRORS,
                       enumerated_has_projection, plant, word_from_rows)
-from golden import (COSET_BRANCHES_O36, COSET_REFUSALS_O36,
+from golden import (COSET_BRANCHES_O36, COSET_OUTCOMES_SHA256,
+                    COSET_REFUSAL_REASONS, COSET_REFUSALS_O36,
                     DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
                     QDIST_9, QDIST_10, WDIST_E36, WDIST_E40, WDIST_O36,
                     WDIST_O40)
@@ -215,11 +217,13 @@ def test_criterion_10_every_coset(contexts):
     bad = []
     decoded = {}
     branches: Counter = Counter()
+    digest = hashlib.sha256()
     for code_id in BINARY_IDS:
         ctx = contexts[code_id]
         oracle = CosetTable(ctx.binary_code, max_weight=3).decode
         reps = _coset_representatives(ctx.binary_code)
         hits = mismatches = 0
+        reasons: Counter = Counter()
         for y in reps:
             out = decode(ctx, y)
             if (out.codeword if out.ok else None) != oracle(y):
@@ -228,14 +232,23 @@ def test_criterion_10_every_coset(contexts):
                 hits += 1
                 if code_id == "o36":
                     branches[out.trace.branch] += 1
+            else:
+                reasons[out.reason] += 1
+            digest.update(repr((out.ok, out.codeword, out.error, out.reason,
+                                out.trace)).encode())
         decoded[code_id] = hits
         expected = sum(math.comb(ctx.n, w) for w in range(4))
         if mismatches or hits != expected:
             bad.append(code_id)
+        if reasons != COSET_REFUSAL_REASONS[code_id]:
+            bad.append(f"{code_id} refusal reasons {dict(reasons)}")
         if code_id == "o36" and (len(reps) - hits != COSET_REFUSALS_O36
                                  or dict(branches) != COSET_BRANCHES_O36):
             bad.append("o36 histogram")
+    if digest.hexdigest() != COSET_OUTCOMES_SHA256:
+        bad.append(f"outcome sha256 {digest.hexdigest()}")
     report("criterion 10: every coset of the four codes decodes exactly as "
-           "the coset-leader oracle, with the golden o36 branch table",
+           "the coset-leader oracle, with the golden o36 branch table, "
+           "refusal reasons and outcome hash",
            not bad, f"decoded {decoded}, o36 refused "
            f"{COSET_REFUSALS_O36}" if not bad else f"wrong: {bad}")

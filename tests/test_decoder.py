@@ -148,8 +148,14 @@ def test_contradicted_delta_fails(contexts):
 
 
 def test_oversized_word_rejected(contexts):
-    with pytest.raises(ValueError):
-        decode(contexts["o36"], 1 << 36)
+    # the range check runs before either path: bit 36 over a clean word
+    # (p = 0) and over a parity-refused one (p = 4), and a negative int
+    ctx = contexts["o36"]
+    refused = int("0001" * 4, 2)
+    assert decode(ctx, refused).reason == FAIL_PARITY
+    for word in (1 << 36, 1 << 36 | refused, -1):
+        with pytest.raises(ValueError):
+            decode(ctx, word)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +316,22 @@ def test_outcome_constructs_by_keyword():
 # ---------------------------------------------------------------------------
 # decoder state
 
-@pytest.mark.parametrize("code_id, entries", [
+@pytest.mark.parametrize("code_id, values", [
     ("o36", 1 + 9 + 36 + 84 + 1), ("e36", 1 + 9 + 36 + 84 + 1),
     ("o40", 1 + 10 + 45 + 120 + 1), ("e40", 1 + 10 + 45 + 120 + 1)])
-def test_state_is_one_entry_per_minority_set(code_id, entries):
-    # one entry per minority set of at most three columns, plus one
-    # refusal entry shared by every pattern with p > 3 or a tie
+def test_state_is_one_entry_per_minority_set(code_id, values):
+    # one slot per parity pattern up to complement: the entry of each
+    # minority set of at most three columns, and None in every slot of a
+    # pattern with p > 3 or a tie, which decode refuses before reading it;
+    # decoding every pattern leaves the table as it was built
     ctx = make_context(code_id)
     for subset in range(1 << ctx.m):
         decode(ctx, sum(1 << 4 * i for i in range(ctx.m) if subset >> i & 1))
-    assert len(ctx._profiles) == 1 << ctx.m
-    assert len({id(info) for info in ctx._profiles.values()}) == entries
-    values = {id(ab) for i, j in itertools.combinations(range(1, ctx.m + 1), 2)
-              for ab in ctx.c4.pair_table(i, j).values()}
-    assert len(values) == 16
+    assert len(ctx._profiles) == 1 << ctx.m - 1
+    assert len({id(info) for info in ctx._profiles}) == values
+    filled = [info for info in ctx._profiles if info is not None]
+    assert len({id(info) for info in filled}) == len(filled) == values - 1
+    assert all(info[1] == len(info[3]) <= 3 for info in filled)
+    pairs = {id(ab) for i, j in itertools.combinations(range(1, ctx.m + 1), 2)
+             for ab in ctx.c4.pair_table(i, j).values()}
+    assert len(pairs) == 16
