@@ -26,12 +26,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from . import gf4
-from .bitlin import CosetTable, format_bits, format_matrix, parse_bits
+from .bitlin import (BinaryLinearCode, CosetTable, format_bits, format_matrix,
+                     parse_bits)
 from .decoder import DecoderContext, decode
-from .projection import Variant, parity_profile, render_array
+from .projection import Variant, construct, parity_profile, render_array
 from .quaternary import QuaternaryCode, c4_9, c4_10, format_gf4_matrix
 
 BINARY_CODES = {
@@ -44,38 +44,38 @@ QUAT_CODES = {"c4-9": c4_9, "c4-10": c4_10}
 ALL_CODES = tuple(BINARY_CODES) + tuple(QUAT_CODES)
 
 
-@dataclass
-class SimReport:
-    """Outcome counts of a simulate run; timing is reported separately so
-    the report itself is a pure function of (seed, arguments)."""
-    code: str
-    trials: int
-    weight: int
-    seed: int
-    successes: int
-    failures: int
-    miscorrections: int
-    mean_decode_us: float
-
-    def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "trials": self.trials,
-            "weight": self.weight,
-            "seed": self.seed,
-            "successes": self.successes,
-            "failures": self.failures,
-            "miscorrections": self.miscorrections,
-        }
-
-
 def _context(code_id: str) -> DecoderContext:
     factory, variant = BINARY_CODES[code_id]
     return DecoderContext(factory(), variant)
 
 
+def _code(code_id: str) -> QuaternaryCode | BinaryLinearCode:
+    if code_id in QUAT_CODES:
+        return QUAT_CODES[code_id]()
+    factory, variant = BINARY_CODES[code_id]
+    return construct(factory(), variant)
+
+
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed << 32) + trial)
+
+
+def _nonnegative(parser, args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            parser.error(f"--{name} must be >= 0, got {value}")
+
+
+def _bits(parser, text: str, width: int, what: str) -> int:
+    """The packed int of ``text``, which must hold exactly ``width`` bits."""
+    try:
+        value, got = parse_bits(text)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if got != width:
+        parser.error(f"{what} must be {width} bits, got {got}")
+    return value
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -85,75 +85,51 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _weights_json(dist) -> dict:
-    return {str(i): a for i, a in enumerate(dist) if a}
-
-
-def _weights_text(dist) -> str:
-    return "\n".join(f"A_{i} = {a}" for i, a in enumerate(dist) if a)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen(args) -> int:
-    if args.code in QUAT_CODES:
-        q = QUAT_CODES[args.code]()
-        payload = {"code": args.code, "m": q.m, "r": q.r,
-                   "rows": [gf4.format_vector(g, sep="") for g in q.generators]}
-        header = f"# code={args.code} m={q.m} r={q.r} codewords=2^{q.r}"
-        body = format_gf4_matrix(q.generators)
-        if args.mindist:
-            payload["d"] = q.min_weight()
-            header += f" d={payload['d']}"
-        _emit(args, payload, f"{header}\n{body}")
-        return 0
-    ctx = _context(args.code)
-    code = ctx.binary_code
-    payload = {"code": args.code, "n": code.n, "k": code.k,
-               "rows": [format_bits(r, code.n) for r in code.generator]}
-    header = f"# code={args.code} n={code.n} k={code.k}"
+def cmd_gen(args, parser) -> int:
+    code = _code(args.code)
+    if isinstance(code, QuaternaryCode):
+        payload = {"code": args.code, "m": code.m, "r": code.r,
+                   "rows": [gf4.format_vector(g, sep="")
+                            for g in code.generators]}
+        header = (f"# code={args.code} m={code.m} r={code.r} "
+                  f"codewords=2^{code.r}")
+        body = format_gf4_matrix(code.generators)
+    else:
+        payload = {"code": args.code, "n": code.n, "k": code.k,
+                   "rows": [format_bits(r, code.n) for r in code.generator]}
+        header = f"# code={args.code} n={code.n} k={code.k}"
+        body = format_matrix(code.generator, code.n, group=4)
     if args.mindist:
         payload["d"] = code.min_distance()
         header += f" d={payload['d']}"
-    body = format_matrix(code.generator, code.n, group=4)
     _emit(args, payload, f"{header}\n{body}")
     return 0
 
 
-def cmd_wdist(args) -> int:
-    if args.code in QUAT_CODES:
-        q = QUAT_CODES[args.code]()
-        dist = q.weight_distribution()
-        payload = {"code": args.code, "m": q.m, "r": q.r,
-                   "weights": _weights_json(dist)}
-    else:
-        ctx = _context(args.code)
-        dist = ctx.binary_code.weight_distribution()
-        payload = {"code": args.code, "n": ctx.n, "k": ctx.binary_code.k,
-                   "weights": _weights_json(dist)}
-    _emit(args, payload, _weights_text(dist))
+def cmd_wdist(args, parser) -> int:
+    code = _code(args.code)
+    dist = code.weight_distribution()
+    size = ({"m": code.m, "r": code.r} if isinstance(code, QuaternaryCode)
+            else {"n": code.n, "k": code.k})
+    payload = {"code": args.code, **size,
+               "weights": {str(i): a for i, a in enumerate(dist) if a}}
+    _emit(args, payload,
+          "\n".join(f"A_{i} = {a}" for i, a in enumerate(dist) if a))
     return 0
 
 
-def cmd_mindist(args) -> int:
-    if args.code in QUAT_CODES:
-        d = QUAT_CODES[args.code]().min_weight()
-    else:
-        d = _context(args.code).binary_code.min_distance()
+def cmd_mindist(args, parser) -> int:
+    d = _code(args.code).min_distance()
     _emit(args, {"code": args.code, "d": d}, f"d = {d}")
     return 0
 
 
 def cmd_encode(args, parser) -> int:
-    ctx = _context(args.code)
-    code = ctx.binary_code
-    try:
-        msg, width = parse_bits(args.message)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if width != code.k:
-        parser.error(f"message must be {code.k} bits, got {width}")
+    code = _code(args.code)
+    msg = _bits(parser, args.message, code.k, "message")
     word = code.encode(msg)
     _emit(args, {"code": args.code, "message": format_bits(msg, code.k),
                  "codeword": format_bits(word, code.n)},
@@ -163,12 +139,7 @@ def cmd_encode(args, parser) -> int:
 
 def cmd_decode(args, parser) -> int:
     ctx = _context(args.code)
-    try:
-        received, width = parse_bits(args.word)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if width != ctx.n:
-        parser.error(f"received word must be {ctx.n} bits, got {width}")
+    received = _bits(parser, args.word, ctx.n, "received word")
     outcome = decode(ctx, received)
 
     if outcome.ok:
@@ -239,12 +210,10 @@ def _error_patterns(n: int, max_weight: int):
 
 
 def cmd_exhaust(args, parser) -> int:
-    if args.samples < 0:
-        parser.error(f"--samples must be >= 0, got {args.samples}")
+    _nonnegative(parser, args, "samples", "seed")
     ctx = _context(args.code)
     code = ctx.binary_code
-    table = (CosetTable(code, max_weight=max(args.max_weight, 3))
-             if args.oracle else None)
+    table = CosetTable(code) if args.oracle else None
     words = [0] + [code.encode(_trial_rng(args.seed, t).getrandbits(code.k))
                    for t in range(args.samples)]
     trials = 0
@@ -280,8 +249,7 @@ def cmd_exhaust(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    if args.trials < 0:
-        parser.error(f"--trials must be >= 0, got {args.trials}")
+    _nonnegative(parser, args, "trials", "seed")
     ctx = _context(args.code)
     if not 0 <= args.weight <= ctx.n:
         parser.error(f"--weight must be in 0..{ctx.n}, got {args.weight}")
@@ -303,18 +271,16 @@ def cmd_simulate(args, parser) -> int:
             successes += 1
         else:
             miscorrections += 1
-    report = SimReport(
-        code=args.code, trials=args.trials, weight=args.weight,
-        seed=args.seed, successes=successes, failures=failures,
-        miscorrections=miscorrections,
-        mean_decode_us=elapsed / max(args.trials, 1) * 1e6,
-    )
-    print(f"mean decode time: {report.mean_decode_us:.1f} us",
+    print(f"mean decode time: {elapsed / max(args.trials, 1) * 1e6:.1f} us",
           file=sys.stderr)
-    text = (f"{report.trials} trials at weight {report.weight}: "
-            f"{report.successes} decoded, {report.failures} failures, "
-            f"{report.miscorrections} miscorrections")
-    _emit(args, report.to_json(), text)
+    payload = {"code": args.code, "trials": args.trials,
+               "weight": args.weight, "seed": args.seed,
+               "successes": successes, "failures": failures,
+               "miscorrections": miscorrections}
+    text = (f"{args.trials} trials at weight {args.weight}: "
+            f"{successes} decoded, {failures} failures, "
+            f"{miscorrections} miscorrections")
+    _emit(args, payload, text)
     return 0
 
 
@@ -327,32 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "codes over GF(4) projections.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, binary_only=False):
+    def add(name, run, help_, binary_only=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("code",
                        choices=sorted(BINARY_CODES) if binary_only
                        else sorted(ALL_CODES))
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
+        p.set_defaults(run=run)
         return p
 
-    p = add("gen", "print a generator matrix")
+    p = add("gen", cmd_gen, "print a generator matrix")
     p.add_argument("--mindist", action="store_true",
                    help="also compute the minimum distance")
-    add("wdist", "weight distribution, enumerating the code or its dual")
-    add("mindist", "minimum distance from the weight distribution")
+    add("wdist", cmd_wdist,
+        "weight distribution, enumerating the code or its dual")
+    add("mindist", cmd_mindist,
+        "minimum distance from the weight distribution")
 
-    p = add("encode", "encode a message", binary_only=True)
+    p = add("encode", cmd_encode, "encode a message", binary_only=True)
     p.add_argument("message", help="k message bits (spaces allowed)")
 
-    p = add("decode", "decode a received word", binary_only=True)
+    p = add("decode", cmd_decode, "decode a received word", binary_only=True)
     p.add_argument("word", help="n received bits (spaces allowed)")
     p.add_argument("--trace", action="store_true",
                    help="show the projection arrays and corrections")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the coset-leader decoder")
 
-    p = add("exhaust", "exhaustive error sweep vs the coset-leader decoder",
+    p = add("exhaust", cmd_exhaust,
+            "exhaustive error sweep vs the coset-leader decoder",
             binary_only=True)
     p.add_argument("--max-weight", type=int, default=3, choices=(0, 1, 2, 3))
     p.add_argument("--samples", type=int, default=200,
@@ -361,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", dest="oracle", action=argparse.BooleanOptionalAction,
                    default=True, help="compare against the coset-leader decoder")
 
-    p = add("simulate", "random error trials", binary_only=True)
+    p = add("simulate", cmd_simulate, "random error trials", binary_only=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--weight", type=int, default=3,
                    help="planted error weight per trial")
@@ -373,16 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": lambda: cmd_gen(args),
-        "wdist": lambda: cmd_wdist(args),
-        "mindist": lambda: cmd_mindist(args),
-        "encode": lambda: cmd_encode(args, parser),
-        "decode": lambda: cmd_decode(args, parser),
-        "exhaust": lambda: cmd_exhaust(args, parser),
-        "simulate": lambda: cmd_simulate(args, parser),
-    }
-    return handlers[args.command]()
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ coordinates 4(i-1)+1 .. 4i, and the four rows are labelled with the field
 elements 0, 1, w, W.  The projection of column i is the inner product of
 the column with its row labels, i.e. rows 2-4 contribute 1, w, W when set.
 A word is a packed int whose column i is the nibble at bit 4(m-i), with
-the row-0 entry in the nibble's top bit.
+the row-0 entry in the nibble's top bit.  This module alone knows that
+layout; ``quaternary`` works in GF(4) only.
 
 Two binary codes are built on top of a quaternary code C4:
 
@@ -131,7 +132,8 @@ def d_code_generators(m: int, variant: Variant) -> list[int]:
 
 def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
     """The n - k parity checks of ``construct(c4, variant)``, in syndrome
-    bit order: ``c4.syndrome_masks[::-1]``, so the low byte of the
+    bit order: 8 rows, row j holding the word bits whose row label times
+    their column of H (``c4.colmul``) has bit j set, so the low byte of the
     syndrome is the packed GF(4) syndrome of the projection; the m - 1 sums
     of columns i and i + 1; and the first row, plus column 1 for O.
 
@@ -139,11 +141,18 @@ def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
     and its first-row parity is that parity for O and 0 for E.  Each check
     is GF(2)-linear, so a code meets them iff its generator rows do."""
     m = c4.m
+    synd = [0] * 8
+    for i in range(1, m + 1):
+        for bit in range(3):            # rows W, w, 1; row 0 projects to 0
+            s = c4.colmul[i][NIBBLE_VALUE[1 << bit]]
+            while s:                    # one pass per set syndrome bit
+                low = s & -s
+                synd[low.bit_length() - 1] |= 1 << 4 * (m - i) + bit
+                s ^= low
     first = int("1000" * m, 2)
     if variant is Variant.O:
         first ^= 0xF << 4 * (m - 1)
-    return [*c4.syndrome_masks[::-1],
-            *(0xFF << 4 * (m - i - 1) for i in range(1, m)), first]
+    return [*synd, *(0xFF << 4 * (m - i - 1) for i in range(1, m)), first]
 
 
 def construct(c4: QuaternaryCode, variant: Variant) -> BinaryLinearCode:

@@ -1,15 +1,14 @@
-"""The two additive GF(4) codes underlying the length-36/40 binary codes.
+"""The two GF(4)-linear codes underlying the length-36/40 binary codes.
 
-``c4_9()`` is a (9, 2^10) code and ``c4_10()`` a (10, 2^12) code, both of
-minimum symbol weight 4.  Each is GF(4)-linear: generator row 2j is w
-times row 2j-1, so the odd-indexed rows form a [9,5,4] resp. [10,6,4]
-basis over GF(4).
+``c4_9()`` is a [9,5,4] and ``c4_10()`` a [10,6,4] code over GF(4), each
+given by its k basis rows and a 4-row parity-check matrix H.  As binary
+spaces they have the 2k ``generators`` b_1, w b_1, ..., b_k, w b_k.
 
-Syndromes are taken with the plain (unconjugated) product y H^T.  The
-4-row parity-check matrices have the property that any three columns are
-linearly independent, which is what makes syndromes of up to three column
-errors uniquely decomposable (``single``/``pair_table``).  Syndromes are
-packed into 8 bits with ``gf4.pack``, check row 1 highest.
+Syndromes are taken with the plain (unconjugated) product y H^T.  Any
+three columns of H are linearly independent, which is what makes
+syndromes of up to three column errors uniquely decomposable
+(``single``/``pair_table``).  Syndromes are packed into 8 bits with
+``gf4.pack``, check row 1 highest.
 """
 
 from __future__ import annotations
@@ -30,12 +29,15 @@ _PAIRS = tuple((a, b) for a in gf4.ELEMENTS for b in gf4.ELEMENTS)
 
 
 class QuaternaryCode:
-    """An additive (m, 2^r) code over GF(4) with a 4-row parity check."""
+    """A GF(4)-linear [m, k] code with a 4-row parity check."""
 
-    def __init__(self, name: str, generators: Sequence[GF4Vector],
+    def __init__(self, name: str, basis: Sequence[GF4Vector],
                  parity_check: Sequence[GF4Vector]):
+        if len(parity_check) != 4:
+            raise ValueError("expected a 4-row parity check")
         self.name = name
-        self.generators = tuple(tuple(g) for g in generators)
+        self.generators = tuple(row for b in basis
+                                for row in (tuple(b), gf4.scale(gf4.OMEGA, b)))
         self.parity_check = tuple(tuple(h) for h in parity_check)
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
@@ -43,8 +45,7 @@ class QuaternaryCode:
         self._validate()
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
-        for i in range(1, self.m + 1):
-            col = self.column(i)
+        for col in zip(*self.parity_check):
             self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
                                      for e in gf4.ELEMENTS))
         # syndrome -> (column, scalar) for all single-column multiples;
@@ -54,12 +55,9 @@ class QuaternaryCode:
             for e in gf4.NONZERO:
                 self.single[self.colmul[i][e]] = (i, e)
         self._pairs: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-        self.syndrome_masks = self._syndrome_masks()
         self._wdist: tuple[int, ...] | None = None
 
     def _validate(self) -> None:
-        if len(self.parity_check) != 4:
-            raise ValueError("expected a 4-row parity check")
         for h in self.parity_check:
             if len(h) != self.m:
                 raise ValueError("ragged parity-check matrix")
@@ -71,18 +69,10 @@ class QuaternaryCode:
                 raise ValueError(
                     f"{self.name}: generator {gf4.format_vector(g)} fails "
                     f"the parity check (syndrome {gf4.format_vector(s)})")
-        for j in range(0, self.r, 2):
-            if gf4.scale(gf4.OMEGA, self.generators[j]) != self.generators[j + 1]:
-                raise ValueError(
-                    f"{self.name}: row {j + 2} is not w times row {j + 1}")
         if rank(self._packed_gens, 2 * self.m) != self.r:
-            raise ValueError(f"{self.name}: generator rows are dependent")
+            raise ValueError(f"{self.name}: basis rows are dependent")
 
     # -- basic queries -----------------------------------------------------
-
-    def column(self, i: int) -> Syndrome:
-        """Column i (1-based) of the parity-check matrix."""
-        return tuple(h[i - 1] for h in self.parity_check)
 
     def syndrome(self, y: Sequence[int]) -> Syndrome:
         """y H^T with the plain product, as a 4-tuple."""
@@ -92,24 +82,6 @@ class QuaternaryCode:
 
     def __contains__(self, y: Sequence[int]) -> bool:
         return not any(self.syndrome(y))
-
-    def _syndrome_masks(self) -> tuple[int, ...]:
-        """Bit masks over the binary length-4m word whose parities give the
-        packed syndrome of its projection, check row 1 highest: masks[2t]
-        and masks[2t+1] are the high and low bit of check row t."""
-        m = self.m
-        masks = [0] * 8
-        for t, hrow in enumerate(self.parity_check):
-            for i in range(1, m + 1):
-                shift = 4 * (m - i)
-                for label, bit in ((gf4.ONE, 2), (gf4.OMEGA, 1),
-                                   (gf4.OMEGA_BAR, 0)):
-                    g = gf4.mul(hrow[i - 1], label)
-                    if g & 2:
-                        masks[2 * t] |= 1 << (shift + bit)
-                    if g & 1:
-                        masks[2 * t + 1] |= 1 << (shift + bit)
-        return tuple(masks)
 
     def pair_table(self, i: int, j: int) -> dict[int, tuple[int, int]]:
         """Packed syndrome of a H_i + b H_j -> (a, b), all 16 pairs; the
@@ -136,7 +108,7 @@ class QuaternaryCode:
             self._wdist = tuple(int(c) for c in counts)
         return self._wdist
 
-    def min_weight(self) -> int:
+    def min_distance(self) -> int:
         dist = self.weight_distribution()
         return next(i for i in range(1, self.m + 1) if dist[i])
 
@@ -146,15 +118,10 @@ class QuaternaryCode:
 
 _G9 = """
 1 0 0 0 0 W 1 1 1
-w 0 0 0 0 1 w w w
 0 1 0 0 0 1 w W 0
-0 w 0 0 0 w W 1 0
 0 0 1 0 0 0 1 w W
-0 0 w 0 0 0 w W 1
 0 0 0 1 0 W W 0 1
-0 0 0 w 0 1 1 0 w
 0 0 0 0 1 1 w 1 1
-0 0 0 0 w w W w w
 """
 
 _H9 = """
@@ -166,17 +133,11 @@ _H9 = """
 
 _G10 = """
 1 0 0 0 0 0 w 0 w W
-w 0 0 0 0 0 W 0 W 1
 0 1 0 0 0 0 W 1 1 1
-0 w 0 0 0 0 1 w w w
 0 0 1 0 0 0 1 w W 0
-0 0 w 0 0 0 w W 1 0
 0 0 0 1 0 0 0 1 w W
-0 0 0 w 0 0 0 w W 1
 0 0 0 0 1 0 W W 0 1
-0 0 0 0 w 0 1 1 0 w
 0 0 0 0 0 1 1 w 1 1
-0 0 0 0 0 w w W w w
 """
 
 _H10 = """
@@ -189,14 +150,14 @@ _H10 = """
 
 @lru_cache(maxsize=None)
 def c4_9() -> QuaternaryCode:
-    """The (9, 2^10) additive code with minimum weight 4."""
+    """The [9,5,4] code over GF(4)."""
     return QuaternaryCode("c4-9", parse_gf4_matrix(_G9),
                           parse_gf4_matrix(_H9))
 
 
 @lru_cache(maxsize=None)
 def c4_10() -> QuaternaryCode:
-    """The (10, 2^12) additive code with minimum weight 4."""
+    """The [10,6,4] code over GF(4)."""
     return QuaternaryCode("c4-10", parse_gf4_matrix(_G10),
                           parse_gf4_matrix(_H10))
 

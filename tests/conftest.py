@@ -5,7 +5,8 @@ import pytest
 
 from projcode.bitlin import BinaryLinearCode, iter_span_chunks
 from projcode.decoder import DecoderContext
-from projcode.projection import NIBBLE_VALUE, ParityProfile, Variant
+from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
+                                 projection_checks)
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 BINARY_IDS = ("o36", "e36", "o40", "e40")
@@ -111,7 +112,8 @@ def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     one = np.uint64(1)
     col_mask = np.uint64(int("0001" * m, 2))
     first_mask = np.uint64(int("1000" * m, 2))
-    synd_masks = [np.uint64(mask) for mask in c4.syndrome_masks]
+    synd_masks = [np.uint64(mask)
+                  for mask in projection_checks(c4, variant)[:8]]
     for chunk in iter_span_chunks(code.generator):
         t = chunk ^ (chunk >> np.uint64(2))
         colpar = (t ^ (t >> one)) & col_mask

@@ -84,7 +84,7 @@ def test_criterion_3_quaternary_weight_distributions():
     ok = (_nonzero(c4_9().weight_distribution()) == QDIST_9
           and _nonzero(c4_10().weight_distribution()) == QDIST_10)
     report("criterion 3: quaternary weight distributions match the "
-           "reference values", ok, "(9,2^10) and (10,2^12)")
+           "reference values", ok, "[9,5,4] and [10,6,4]")
 
 
 def test_criterion_4_construction_fidelity(contexts):
@@ -153,8 +153,8 @@ def test_criterion_7_golden_traces(contexts):
         out = decode(ctx, word_from_rows(ex["rows"]))
         expected = [0, 0, 0, 0]
         for col, coeff in SYNDROME_TERMS[num]:
-            for t, h in enumerate(ctx.c4.column(col)):
-                expected[t] ^= gf4.mul(coeff, h)
+            for t, h in enumerate(ctx.c4.parity_check):
+                expected[t] ^= gf4.mul(coeff, h[col - 1])
         good = (out.ok
                 and out.trace.branch == ex["branch"]
                 and out.trace.syndrome == tuple(expected)

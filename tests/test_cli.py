@@ -295,8 +295,12 @@ def test_unknown_code_or_command(capsys):
     (["simulate", "o40", "--weight", "-1"], "--weight must be in 0..40"),
     (["simulate", "e36", "--trials", "-3"], "--trials must be >= 0"),
     (["exhaust", "e40", "--samples", "-3"], "--samples must be >= 0"),
+    # a negative seed would replay the stream of its absolute value
+    (["exhaust", "o36", "--seed", "-1"], "--seed must be >= 0"),
+    (["simulate", "o36", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["weight-above-n", "weight-negative", "trials-negative",
-        "samples-negative"])
+        "samples-negative", "exhaust-seed-negative",
+        "simulate-seed-negative"])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -189,6 +189,16 @@ def test_projection_checks_are_a_parity_check_basis(contexts):
         assert code.parity_rows == tuple(checks)
 
 
+def test_syndrome_low_byte_on_unit_words(contexts):
+    # the syndrome is GF(2)-linear, so agreeing on the 4m unit words proves
+    # the low byte is the projection's packed GF(4) syndrome for every word
+    for ctx in contexts.values():
+        for bit in range(ctx.n):
+            u = 1 << bit
+            assert ctx.binary_code.syndrome(u) & 255 == gf4.pack(
+                ctx.c4.syndrome(reference_project(u, ctx.m)))
+
+
 @given(st.sampled_from(BINARY_IDS), st.integers(0, (1 << 40) - 1))
 def test_syndrome_layout(contexts, code_id, word):
     # low byte: the packed GF(4) syndrome of the projection; then the

@@ -6,7 +6,7 @@ import pytest
 
 from projcode import gf4
 from projcode.bitlin import xor_span
-from projcode.quaternary import (QuaternaryCode, c4_9, c4_10,
+from projcode.quaternary import (_G9, _G10, QuaternaryCode, c4_9, c4_10,
                                  format_gf4_matrix, parse_gf4_matrix)
 
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
@@ -52,8 +52,8 @@ def test_weight_distributions(q9, q10):
     assert wd10 == QDIST_10
     assert sum(wd9.values()) == 1 << q9.r
     assert sum(wd10.values()) == 1 << q10.r
-    assert q9.min_weight() == 4
-    assert q10.min_weight() == 4
+    assert q9.min_distance() == 4
+    assert q10.min_distance() == 4
 
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
@@ -142,25 +142,39 @@ def test_solve_columns_unsolvable(q9):
     assert gf4.pack(q9.syndrome(y)) not in q9.pair_table(1, 2)
 
 
-def test_column_accessor(q9):
-    assert q9.column(1) == (1, 0, 0, 0)
-    assert q9.column(9) == tuple(h[8] for h in q9.parity_check)
+def test_colmul_holds_the_packed_column_multiples(q9, q10):
+    # colmul[i][e] is the packed syndrome of e in column i: e H_i
+    for code in (q9, q10):
+        assert code.colmul[0] == (0, 0, 0, 0)
+        assert code.colmul[1] == (0, 0b01000000, 0b10000000, 0b11000000)
+        for i in range(1, code.m + 1):
+            col = tuple(h[i - 1] for h in code.parity_check)
+            assert code.colmul[i] == tuple(gf4.pack(gf4.scale(e, col))
+                                           for e in gf4.ELEMENTS)
+
+
+def test_generators_are_the_basis_and_its_w_multiples(q9, q10):
+    # each basis row of _G9 / _G10 is followed by w times it
+    for code, basis in ((q9, _G9), (q10, _G10)):
+        assert code.generators[::2] == tuple(parse_gf4_matrix(basis))
+        assert code.generators[1::2] == tuple(gf4.scale(gf4.OMEGA, b)
+                                              for b in code.generators[::2])
 
 
 def test_constructor_rejects_bad_matrices(q9):
-    g = q9.generators
+    basis = q9.generators[::2]
     h = q9.parity_check
+    with pytest.raises(ValueError, match="expected a 4-row parity check"):
+        QuaternaryCode("bad", basis, h[:3])      # not 4 parity rows
+    with pytest.raises(ValueError, match="expected a 4-row parity check"):
+        QuaternaryCode("bad", basis, [])         # no parity rows at all
     with pytest.raises(ValueError):
-        QuaternaryCode("bad", g, h[:3])          # not 4 parity rows
-    with pytest.raises(ValueError):
-        QuaternaryCode("bad", [g[0][:8]], h)     # ragged generator
+        QuaternaryCode("bad", [basis[0][:8]], h)  # ragged basis row
     unit = tuple([1] + [0] * 8)
     with pytest.raises(ValueError):
         QuaternaryCode("bad", [unit], h)         # fails the parity check
     with pytest.raises(ValueError):
-        QuaternaryCode("bad", (g[0], g[0]), h)   # broken w-pairing
-    with pytest.raises(ValueError):
-        QuaternaryCode("bad", g + g[:2], h)      # dependent rows
+        QuaternaryCode("bad", basis + basis[:1], h)  # dependent rows
 
 
 def test_syndrome_packing_round_trip():
