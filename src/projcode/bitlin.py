@@ -110,6 +110,11 @@ def rank(rows: Sequence[int], n: int) -> int:
     return rref(rows, n)[1]
 
 
+def orthogonal(rows: Iterable[int], checks: Sequence[int]) -> bool:
+    """True iff every row meets every check in an even number of places."""
+    return not any((g & h).bit_count() & 1 for g in rows for h in checks)
+
+
 def code_equal(a: "BinaryLinearCode", b: "BinaryLinearCode") -> bool:
     """True iff two codes have identical row spaces."""
     if a.n != b.n or a.k != b.k:
@@ -143,9 +148,9 @@ def iter_span_chunks(rows: Sequence[int]) -> Iterator[np.ndarray]:
         yield base ^ hv
 
 
-def _span_distribution(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """Weight distribution of the span of independent ``rows``, by
-    enumerating all 2^len(rows) words."""
+def span_distribution(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """(A_0, ..., A_n) of the span of independent ``rows``, no word of
+    which weighs more than n, by enumerating all 2^len(rows) words."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for chunk in iter_span_chunks(rows):
         counts += np.bincount(np.bitwise_count(chunk), minlength=n + 1)
@@ -180,26 +185,15 @@ def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # syndrome tables
 
-# the table of every byte past a word's length: the syndrome lookup always
-# reads eight bytes, and these pad a code's tables to eight
-_ZERO_TABLE = (0,) * 256
-
-
 def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
-    """Per-byte lookup tables of the syndrome whose bit j is the parity of
-    ``parity_rows[j]``, so a syndrome costs one indexing per byte.  Each
-    unit entry is computed once; the rest XOR a lower entry with one."""
-    tables = []
-    for b in range(0, n, 8):
-        t = [0] * 256
-        for q in range(b, min(b + 8, n)):
-            t[1 << q - b] = sum(((h >> q) & 1) << j
-                                for j, h in enumerate(parity_rows))
-        for v in range(1, 256):
-            low = v & -v
-            t[v] = t[v ^ low] ^ t[low]
-        tables.append(t)
-    return tables
+    """The eight per-byte lookup tables of the syndrome whose bit j is the
+    parity of ``parity_rows[j]``, so a syndrome costs one indexing per
+    byte: each is the span of its byte's eight unit syndromes, which are
+    zero past n."""
+    units = [sum(((h >> q) & 1) << j for j, h in enumerate(parity_rows))
+             for q in range(n)] + [0] * (-n % 8)
+    tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
+    return tables + [[0] * 256] * (8 - len(tables))
 
 
 class BinaryLinearCode:
@@ -213,22 +207,24 @@ class BinaryLinearCode:
         self.n = n
         self.generator = tuple(rows)
         self.k = len(self.generator)
+        self._parity_rows = given = (None if parity_rows is None
+                                     else tuple(parity_rows))
+        for row in self.generator + (given or ()):
+            if row >> n:
+                raise ValueError(f"row {row:#b} does not fit in {n} bits")
         reduced, pivots = _rref_pivots(self.generator, n)
         if len(pivots) != self.k:
             raise ValueError(
                 f"generator rows are dependent: rank {len(pivots)} < {self.k}")
         self._reduced = reduced
         self._pivots = pivots
-        self._parity_rows: tuple[int, ...] | None = None
-        if parity_rows is not None:
-            self._parity_rows = rows = tuple(parity_rows)
-            if len(rows) != n - self.k or rank(rows, n) != len(rows):
+        if given is not None:
+            if len(given) != n - self.k or rank(given, n) != len(given):
                 raise ValueError(f"parity rows are not {n - self.k} "
                                  f"independent rows")
-            if any((g & h).bit_count() & 1
-                   for g in self.generator for h in rows):
+            if not orthogonal(self.generator, given):
                 raise ValueError("parity rows are not orthogonal to the code")
-        self._synd_tables: list[Sequence[int]] | None = None
+        self._synd_tables: list[list[int]] | None = None
         self._wdist: tuple[int, ...] | None = None
 
     # -- encoding ----------------------------------------------------------
@@ -268,9 +264,7 @@ class BinaryLinearCode:
             raise ValueError(f"word does not fit in {self.n} bits")
         tables = self._synd_tables
         if tables is None:
-            tables = _byte_tables(self.parity_rows, self.n)
-            tables += [_ZERO_TABLE] * (8 - len(tables))
-            self._synd_tables = tables
+            tables = self._synd_tables = _byte_tables(self.parity_rows, self.n)
         t0, t1, t2, t3, t4, t5, t6, t7 = tables
         b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
         return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
@@ -298,9 +292,9 @@ class BinaryLinearCode:
                                  f"budget {_MAX_ENUM_K}")
             if r < self.k:
                 self._wdist = _macwilliams(
-                    _span_distribution(self.parity_rows, self.n), r)
+                    span_distribution(self.parity_rows, self.n), r)
             else:
-                self._wdist = _span_distribution(self.generator, self.n)
+                self._wdist = span_distribution(self.generator, self.n)
         return self._wdist
 
     def min_distance(self) -> int:

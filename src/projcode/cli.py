@@ -141,34 +141,30 @@ def cmd_decode(args, parser) -> int:
     ctx = _context(args.code)
     received = _bits(parser, args.word, ctx.n, "received word")
     outcome = decode(ctx, received)
-
+    syndrome = gf4.format_vector(
+        gf4.unpack(ctx.syndrome_packed(received) & 255, 4))
+    p = parity_profile(received, ctx.m).p
+    trace = outcome.trace           # None for a refusal
+    branch = decoded_str = None
+    positions = []
     if outcome.ok:
-        trace = outcome.trace
-        syndrome = trace.syndrome
-        p = trace.profile.p
-        positions = [i + 1 for i in range(ctx.n)
-                     if (outcome.error >> (ctx.n - 1 - i)) & 1]
         branch = trace.branch
         decoded_str = format_bits(outcome.codeword, ctx.n)
-    else:
-        syndrome = gf4.unpack(ctx.syndrome_packed(received) & 255, 4)
-        p = parity_profile(received, ctx.m).p
-        positions = []
-        branch = None
-        decoded_str = None
+        positions = [i + 1 for i in range(ctx.n)
+                     if (outcome.error >> (ctx.n - 1 - i)) & 1]
 
     if args.trace:
         print("received:")
         print(render_array(received, ctx.m))
         if outcome.ok:
             changed = {c: old for c, old, _ in trace.corrections}
-            print(f"branch {branch}; syndrome ({gf4.format_vector(syndrome)}); "
+            print(f"branch {branch}; syndrome ({syndrome}); "
                   f"p = {p}; {trace.error_weight} bit(s) corrected")
             print("decoded:")
             print(render_array(outcome.codeword, ctx.m, changed=changed))
         else:
             print(f"decode failed: {outcome.reason} "
-                  f"(syndrome ({gf4.format_vector(syndrome)}), p = {p})")
+                  f"(syndrome ({syndrome}), p = {p})")
 
     payload = {
         "code": args.code,
@@ -178,7 +174,7 @@ def cmd_decode(args, parser) -> int:
         "decoded": decoded_str,
         "error_positions": positions,
         "branch": branch,
-        "syndrome": gf4.format_vector(syndrome),
+        "syndrome": syndrome,
         "p": p,
     }
     if args.oracle:
@@ -190,11 +186,10 @@ def cmd_decode(args, parser) -> int:
 
     if args.json:
         print(json.dumps(payload))
-    elif outcome.ok:
-        if not args.trace:
+    elif not args.trace:
+        if outcome.ok:
             print(decoded_str)
-    else:
-        if not args.trace:
+        else:
             print(f"decode failed: {outcome.reason}", file=sys.stderr)
     return 0 if outcome.ok else 1
 

@@ -89,15 +89,10 @@ class DecodeOutcome:
 
     __slots__ = ("_ok", "_codeword", "_error", "_trace", "_reason", "_raw")
 
-    def __init__(self, ok: bool, codeword: int | None = None,
-                 error: int | None = None, trace: DecodeTrace | None = None,
-                 reason: str | None = None):
+    def __init__(self, ok: bool, reason: str | None = None):
         self._ok = ok
-        self._codeword = codeword
-        self._error = error
-        self._trace = trace
+        self._codeword = self._error = self._trace = self._raw = None
         self._reason = reason
-        self._raw = None
 
     ok = property(attrgetter("_ok"))
     codeword = property(attrgetter("_codeword"))

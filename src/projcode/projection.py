@@ -30,8 +30,8 @@ import enum
 from dataclasses import dataclass
 
 from . import gf4
-from .bitlin import BinaryLinearCode
-from .quaternary import QuaternaryCode
+from .bitlin import BinaryLinearCode, orthogonal
+from .quaternary import PHI_BLOCKS, QuaternaryCode
 
 
 class Variant(enum.Enum):
@@ -39,9 +39,6 @@ class Variant(enum.Enum):
     O = "O"
     E = "E"
 
-
-# phi images indexed by field element, as nibbles (top bit = row 0)
-PHI_BLOCKS = (0b0000, 0b0011, 0b0101, 0b0110)
 
 # value of a nibble under the projection: rows 1, w, W contribute 1, w, W
 NIBBLE_VALUE = tuple(
@@ -170,9 +167,7 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     every one of the ``projection_checks``."""
     if code.n != 4 * c4.m:
         return False
-    checks = projection_checks(c4, variant)
-    return not any((g & h).bit_count() & 1
-                   for g in code.generator for h in checks)
+    return orthogonal(code.generator, projection_checks(c4, variant))
 
 
 def render_array(word: int, m: int,

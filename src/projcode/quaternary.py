@@ -4,11 +4,10 @@
 given by its k basis rows and a 4-row parity-check matrix H.  As binary
 spaces they have the 2k ``generators`` b_1, w b_1, ..., b_k, w b_k.
 
-Syndromes are taken with the plain (unconjugated) product y H^T.  Any
-three columns of H are linearly independent, which is what makes
-syndromes of up to three column errors uniquely decomposable
-(``single``/``pair_table``).  Syndromes are packed into 8 bits with
-``gf4.pack``, check row 1 highest.
+Syndromes are taken with the plain (unconjugated) product y H^T and
+packed into 8 bits with ``gf4.pack``, check row 1 highest.  Any three
+columns of H are linearly independent, which is what makes syndromes of
+up to three column errors uniquely decomposable (``single``/``pair_table``).
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-import numpy as np
-
 from . import gf4
-from .bitlin import rank, xor_span
+from .bitlin import rank, span_distribution
 
 GF4Vector = tuple[int, ...]
-Syndrome = tuple[int, int, int, int]
+
+# the weight-doubling map phi by field element (GF(2)-linear, weight 2 on
+# every nonzero symbol); ``projection`` uses these as column nibbles
+PHI_BLOCKS = (0b000, 0b011, 0b101, 0b110)
 
 # the 16 coefficient pairs (a, b), shared as values by every pair table
 _PAIRS = tuple((a, b) for a in gf4.ELEMENTS for b in gf4.ELEMENTS)
@@ -35,13 +35,20 @@ class QuaternaryCode:
                  parity_check: Sequence[GF4Vector]):
         if len(parity_check) != 4:
             raise ValueError("expected a 4-row parity check")
+        bad = [a for row in (*basis, *parity_check) for a in row
+               if a not in gf4.ELEMENTS]
+        if bad:
+            raise ValueError(f"not a GF(4) symbol: {bad[0]!r}")
         self.name = name
         self.generators = tuple(row for b in basis
                                 for row in (tuple(b), gf4.scale(gf4.OMEGA, b)))
         self.parity_check = tuple(tuple(h) for h in parity_check)
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
-        self._packed_gens = [gf4.pack(g) for g in self.generators]
+        # phi of each generator, 3 bits per symbol: a GF(2) image of the
+        # code that doubles every weight
+        self._images = [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
+                        for g in self.generators]
         self._validate()
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
@@ -61,27 +68,30 @@ class QuaternaryCode:
         for h in self.parity_check:
             if len(h) != self.m:
                 raise ValueError("ragged parity-check matrix")
-        for g in self.generators:
+        # the basis rows: w times a codeword is a codeword
+        for g in self.generators[::2]:
             if len(g) != self.m:
                 raise ValueError("ragged generator matrix")
             s = self.syndrome(g)
-            if any(s):
+            if s:
                 raise ValueError(
                     f"{self.name}: generator {gf4.format_vector(g)} fails "
-                    f"the parity check (syndrome {gf4.format_vector(s)})")
-        if rank(self._packed_gens, 2 * self.m) != self.r:
+                    f"the parity check (syndrome "
+                    f"{gf4.format_vector(gf4.unpack(s, 4))})")
+        if rank(self._images, 3 * self.m) != self.r:
             raise ValueError(f"{self.name}: basis rows are dependent")
 
     # -- basic queries -----------------------------------------------------
 
-    def syndrome(self, y: Sequence[int]) -> Syndrome:
-        """y H^T with the plain product, as a 4-tuple."""
+    def syndrome(self, y: Sequence[int]) -> int:
+        """y H^T with the plain product, packed: the independent reference
+        for ``colmul`` and the tables built from it."""
         if len(y) != self.m:
             raise ValueError(f"expected length {self.m}, got {len(y)}")
-        return tuple(gf4.plain_inner(y, h) for h in self.parity_check)
+        return gf4.pack([gf4.plain_inner(y, h) for h in self.parity_check])
 
     def __contains__(self, y: Sequence[int]) -> bool:
-        return not any(self.syndrome(y))
+        return self.syndrome(y) == 0
 
     def pair_table(self, i: int, j: int) -> dict[int, tuple[int, int]]:
         """Packed syndrome of a H_i + b H_j -> (a, b), all 16 pairs; the
@@ -98,14 +108,10 @@ class QuaternaryCode:
     # -- weight distribution -----------------------------------------------
 
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_m) over all 2^r codewords."""
+        """(A_0, ..., A_m) over all 2^r codewords: every other entry of the
+        binary distribution of their phi images, which weigh at most 2m."""
         if self._wdist is None:
-            words = xor_span(self._packed_gens)
-            nonzero = ((words | words >> np.uint64(1))
-                       & np.uint64(int("01" * self.m, 2)))
-            counts = np.bincount(np.bitwise_count(nonzero),
-                                 minlength=self.m + 1)
-            self._wdist = tuple(int(c) for c in counts)
+            self._wdist = span_distribution(self._images, 2 * self.m)[::2]
         return self._wdist
 
     def min_distance(self) -> int:

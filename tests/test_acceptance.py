@@ -211,10 +211,20 @@ def _coset_representatives(code: BinaryLinearCode) -> list[int]:
     return reps
 
 
-def test_criterion_10_every_coset(contexts):
+def test_criterion_10_every_coset(contexts, monkeypatch):
     # decode(y ^ c) == decode(y) ^ c for every codeword c, so one word per
     # coset fixes the decoder's behaviour on all 2^n words
     bad = []
+    # the final membership guard in decode: how often it runs and rejects
+    guard = Counter()
+    contains = BinaryLinearCode.__contains__
+
+    def counted(code, word):
+        inside = contains(code, word)
+        guard[inside] += 1
+        return inside
+
+    monkeypatch.setattr(BinaryLinearCode, "__contains__", counted)
     decoded = {}
     branches: Counter = Counter()
     digest = hashlib.sha256()
@@ -247,8 +257,12 @@ def test_criterion_10_every_coset(contexts):
             bad.append("o36 histogram")
     if digest.hexdigest() != COSET_OUTCOMES_SHA256:
         bad.append(f"outcome sha256 {digest.hexdigest()}")
+    # it accepts every decoded word and rejects none
+    if guard != {True: sum(decoded.values())}:
+        bad.append(f"membership guard {dict(guard)}")
     report("criterion 10: every coset of the four codes decodes exactly as "
            "the coset-leader oracle, with the golden o36 branch table, "
-           "refusal reasons and outcome hash",
+           "refusal reasons and outcome hash; the final membership guard "
+           "rejects no word",
            not bad, f"decoded {decoded}, o36 refused "
            f"{COSET_REFUSALS_O36}" if not bad else f"wrong: {bad}")

@@ -78,6 +78,18 @@ def test_code_requires_independent_rows():
         BinaryLinearCode([0b1100, 0b0110, 0b1010], 4)
 
 
+def test_code_rejects_rows_wider_than_n():
+    # 0b1001 would make a code whose own generator fails membership, and
+    # 0b1000 was once reported as a rank deficit
+    for row in (0b1001, 0b1000, -1):
+        with pytest.raises(ValueError, match=f"row {row:#b} does not fit"):
+            BinaryLinearCode([row], 3)
+    code = _hamming7()
+    with pytest.raises(ValueError, match="row 0b10000000 does not fit"):
+        BinaryLinearCode(code.generator, 7,
+                         [*code.parity_rows[:2], 0b10000000])
+
+
 def test_encode_unit_messages_give_generator_rows():
     code = _hamming7()
     for i in range(code.k):

@@ -178,8 +178,8 @@ def test_decode_failure_reports_syndrome_and_p(capsys, contexts):
     payload = json.loads(out)
     assert (payload["syndrome"], payload["p"]) == ("w 1 w 1", 2)
     # the decoder's packed syndrome equals the projected word's syndrome
-    assert payload["syndrome"] == gf4.format_vector(
-        contexts["o36"].c4.syndrome(project(int(word, 2), 9)))
+    assert gf4.pack(gf4.parse_vector(payload["syndrome"])) \
+        == contexts["o36"].c4.syndrome(project(int(word, 2), 9))
     assert payload["p"] == parity_profile(int(word, 2), 9).p
 
 

@@ -195,8 +195,8 @@ def test_syndrome_low_byte_on_unit_words(contexts):
     for ctx in contexts.values():
         for bit in range(ctx.n):
             u = 1 << bit
-            assert ctx.binary_code.syndrome(u) & 255 == gf4.pack(
-                ctx.c4.syndrome(reference_project(u, ctx.m)))
+            assert ctx.binary_code.syndrome(u) & 255 == ctx.c4.syndrome(
+                reference_project(u, ctx.m))
 
 
 @given(st.sampled_from(BINARY_IDS), st.integers(0, (1 << 40) - 1))
@@ -206,7 +206,7 @@ def test_syndrome_layout(contexts, code_id, word):
     ctx = contexts[code_id]
     m, y = ctx.m, word >> 40 - ctx.n
     synd = ctx.binary_code.syndrome(y)
-    assert synd & 255 == gf4.pack(ctx.c4.syndrome(reference_project(y, m)))
+    assert synd & 255 == ctx.c4.syndrome(reference_project(y, m))
     prof = reference_parity_profile(y, m)
     pars = prof.column_parities
     for i in range(1, m):
@@ -279,7 +279,7 @@ def test_random_codeword_projections_live_in_c4(contexts):
         for _ in range(100):
             word = code.encode(rng.getrandbits(code.k))
             y = project(word, ctx.m)
-            assert not any(ctx.c4.syndrome(y))
+            assert ctx.c4.syndrome(y) == 0
             prof = parity_profile(word, ctx.m)
             assert prof.p == 0    # all columns share one parity
             if ctx.variant is Variant.E:
