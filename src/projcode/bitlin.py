@@ -225,7 +225,6 @@ class BinaryLinearCode:
             if not orthogonal(self.generator, given):
                 raise ValueError("parity rows are not orthogonal to the code")
         self._synd_tables: list[list[int]] | None = None
-        self._wdist: tuple[int, ...] | None = None
 
     # -- encoding ----------------------------------------------------------
 
@@ -284,18 +283,14 @@ class BinaryLinearCode:
         ``parity_rows`` are a basis of the dual.  When the dual is smaller
         (n - k < k) its distribution is mapped back with the MacWilliams
         identity; the enumeration budget applies to the side enumerated."""
-        if self._wdist is None:
-            r = self.n - self.k
-            dim = min(self.k, r)
-            if dim > _MAX_ENUM_K:
-                raise ValueError(f"min(k, n-k) = {dim} exceeds enumeration "
-                                 f"budget {_MAX_ENUM_K}")
-            if r < self.k:
-                self._wdist = _macwilliams(
-                    span_distribution(self.parity_rows, self.n), r)
-            else:
-                self._wdist = span_distribution(self.generator, self.n)
-        return self._wdist
+        r = self.n - self.k
+        dim = min(self.k, r)
+        if dim > _MAX_ENUM_K:
+            raise ValueError(f"min(k, n-k) = {dim} exceeds enumeration "
+                             f"budget {_MAX_ENUM_K}")
+        if r < self.k:
+            return _macwilliams(span_distribution(self.parity_rows, self.n), r)
+        return span_distribution(self.generator, self.n)
 
     def min_distance(self) -> int:
         dist = self.weight_distribution()
@@ -316,7 +311,6 @@ class CosetTable:
             raise ValueError(f"n-k = {code.n - code.k} exceeds table budget "
                              f"{_MAX_TABLE_REDUNDANCY}")
         self.code = code
-        self.max_weight = max_weight
         n = code.n
         # unit syndrome by 1-based coordinate (coordinate c is bit n-c)
         by_coord = [code.syndrome(1 << (n - c)) for c in range(1, n + 1)]

@@ -12,7 +12,8 @@ c4-10 for the underlying quaternary codes.  Subcommands:
             cross-checked against the coset-leader decoder
   simulate  random-error trials with per-trial seeded RNG streams
 
-Exit codes: 0 success, 1 decoding/verification failure, 2 usage error.
+Exit codes: 0 success, 1 decoding/verification failure or a reader that
+closed stdout early, 2 usage error.
 All randomised commands derive an independent RNG per trial from
 (seed, trial index), so reports are reproducible and independent of
 execution order.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -157,11 +159,10 @@ def cmd_decode(args, parser) -> int:
         print("received:")
         print(render_array(received, ctx.m))
         if outcome.ok:
-            changed = {c: old for c, old, _ in trace.corrections}
             print(f"branch {branch}; syndrome ({syndrome}); "
                   f"p = {p}; {trace.error_weight} bit(s) corrected")
             print("decoded:")
-            print(render_array(outcome.codeword, ctx.m, changed=changed))
+            print(render_array(outcome.codeword, ctx.m, outcome.error))
         else:
             print(f"decode failed: {outcome.reason} "
                   f"(syndrome ({syndrome}), p = {p})")
@@ -337,8 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.run(args, parser)
+    try:
+        try:
+            args = parser.parse_args(argv)
+            return args.run(args, parser)
+        finally:
+            sys.stdout.flush()      # a closed reader fails here, not at exit
+    except BrokenPipeError:
+        # send the unwritten rest to devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

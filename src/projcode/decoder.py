@@ -84,14 +84,14 @@ class DecodeOutcome:
     """The read-only result of a decode.
 
     A successful ``decode`` keeps the raw values it computed and builds
-    ``trace`` from them on first read; refusals are shared objects, one
+    ``trace`` from them on each read; refusals are shared objects, one
     per reason, with ``trace`` None."""
 
-    __slots__ = ("_ok", "_codeword", "_error", "_trace", "_reason", "_raw")
+    __slots__ = ("_ok", "_codeword", "_error", "_reason", "_raw")
 
     def __init__(self, ok: bool, reason: str | None = None):
         self._ok = ok
-        self._codeword = self._error = self._trace = self._raw = None
+        self._codeword = self._error = self._raw = None
         self._reason = reason
 
     ok = property(attrgetter("_ok"))
@@ -102,12 +102,10 @@ class DecodeOutcome:
     @property
     def trace(self) -> DecodeTrace | None:
         """How the decode arrived at its answer; None for a refusal."""
-        raw = self._raw
-        if raw is not None:
-            self._trace = _build_trace(self._codeword ^ self._error,
-                                       self._error, *raw)
-            self._raw = None
-        return self._trace
+        if self._raw is None:
+            return None
+        return _build_trace(self._codeword ^ self._error, self._error,
+                            *self._raw)
 
     def _fields(self) -> tuple:
         return (self.ok, self.codeword, self.error, self.trace, self.reason)
@@ -131,12 +129,11 @@ _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 
 def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
     """A successful outcome whose trace ``_build_trace`` makes from ``raw``
-    on first read; set slot by slot, which is cheaper than ``__init__``."""
+    on each read; set slot by slot, which is cheaper than ``__init__``."""
     out = object.__new__(DecodeOutcome)
     out._ok = True
     out._codeword = codeword
     out._error = error
-    out._trace = None
     out._reason = None
     out._raw = raw
     return out

@@ -136,7 +136,10 @@ def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
 
     A word meets them iff it projects into C4, its columns share one parity
     and its first-row parity is that parity for O and 0 for E.  Each check
-    is GF(2)-linear, so a code meets them iff its generator rows do."""
+    is GF(2)-linear, so a code meets them iff its generator rows do.
+    ValueError for a ``variant`` that is not a ``Variant``."""
+    if not isinstance(variant, Variant):
+        raise ValueError(f"not a Variant: {variant!r}")
     m = c4.m
     synd = [0] * 8
     for i in range(1, m + 1):
@@ -165,20 +168,14 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     """True iff every codeword projects into C4, has columns of one parity
     and obeys the variant's first-row rule: every generator row meets
     every one of the ``projection_checks``."""
-    if code.n != 4 * c4.m:
-        return False
-    return orthogonal(code.generator, projection_checks(c4, variant))
+    checks = projection_checks(c4, variant)
+    return code.n == 4 * c4.m and orthogonal(code.generator, checks)
 
 
-def render_array(word: int, m: int,
-                 changed: dict[int, int] | None = None) -> str:
+def render_array(word: int, m: int, error: int = 0) -> str:
     """Labelled 4 x m table of a length-4m word: row labels 0/1/w/W, one
-    column per symbol, and the projection underneath.
-
-    ``changed`` maps 1-based column indices to the previous nibble; bits
-    that differ are marked with a trailing ``*``.
-    """
-    changed = changed or {}
+    column per symbol, and the projection underneath.  The bits set in
+    ``error`` are marked with a trailing ``*``."""
     width = max(3, len(str(m)) + 1)
     header = "    |" + "".join(f"{i:>{width}}" for i in range(1, m + 1))
     rule = "    +" + "-" * (width * m)
@@ -186,11 +183,9 @@ def render_array(word: int, m: int,
     for row, label in enumerate("01wW"):
         cells = []
         for i in range(1, m + 1):
-            bit = (word >> (4 * (m - i) + 3 - row)) & 1
-            old = changed.get(i)
-            mark = "*" if old is not None and ((old >> (3 - row)) & 1) != bit \
-                else " "
-            cells.append(f"{bit}{mark}".rjust(width))
+            shift = 4 * (m - i) + 3 - row
+            mark = "*" if (error >> shift) & 1 else " "
+            cells.append(f"{(word >> shift) & 1}{mark}".rjust(width))
         lines.append(f"  {label} |" + "".join(cells))
     lines.append(rule)
     lines.append("    |" + "".join(f"{gf4.format_element(v):>{width}}"

@@ -2,7 +2,8 @@
 
 ``c4_9()`` is a [9,5,4] and ``c4_10()`` a [10,6,4] code over GF(4), each
 given by its k basis rows and a 4-row parity-check matrix H.  As binary
-spaces they have the 2k ``generators`` b_1, w b_1, ..., b_k, w b_k.
+spaces they have the 2k ``generators`` b_1, w b_1, ..., b_k, w b_k; their
+phi images span ``image``, a binary code of every weight doubled.
 
 Syndromes are taken with the plain (unconjugated) product y H^T and
 packed into 8 bits with ``gf4.pack``, check row 1 highest.  Any three
@@ -16,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from . import gf4
-from .bitlin import rank, span_distribution
+from .bitlin import BinaryLinearCode
 
 GF4Vector = tuple[int, ...]
 
@@ -36,7 +37,7 @@ class QuaternaryCode:
         if len(parity_check) != 4:
             raise ValueError("expected a 4-row parity check")
         bad = [a for row in (*basis, *parity_check) for a in row
-               if a not in gf4.ELEMENTS]
+               if type(a) is not int or a not in gf4.ELEMENTS]
         if bad:
             raise ValueError(f"not a GF(4) symbol: {bad[0]!r}")
         self.name = name
@@ -45,11 +46,12 @@ class QuaternaryCode:
         self.parity_check = tuple(tuple(h) for h in parity_check)
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
-        # phi of each generator, 3 bits per symbol: a GF(2) image of the
-        # code that doubles every weight
-        self._images = [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
-                        for g in self.generators]
         self._validate()
+        # phi of each generator, 3 bits per symbol; BinaryLinearCode
+        # rejects a dependent basis
+        self.image = BinaryLinearCode(
+            [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
+             for g in self.generators], 3 * self.m)
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         for col in zip(*self.parity_check):
@@ -62,7 +64,6 @@ class QuaternaryCode:
             for e in gf4.NONZERO:
                 self.single[self.colmul[i][e]] = (i, e)
         self._pairs: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-        self._wdist: tuple[int, ...] | None = None
 
     def _validate(self) -> None:
         for h in self.parity_check:
@@ -78,8 +79,6 @@ class QuaternaryCode:
                     f"{self.name}: generator {gf4.format_vector(g)} fails "
                     f"the parity check (syndrome "
                     f"{gf4.format_vector(gf4.unpack(s, 4))})")
-        if rank(self._images, 3 * self.m) != self.r:
-            raise ValueError(f"{self.name}: basis rows are dependent")
 
     # -- basic queries -----------------------------------------------------
 
@@ -108,15 +107,12 @@ class QuaternaryCode:
     # -- weight distribution -----------------------------------------------
 
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_m) over all 2^r codewords: every other entry of the
-        binary distribution of their phi images, which weigh at most 2m."""
-        if self._wdist is None:
-            self._wdist = span_distribution(self._images, 2 * self.m)[::2]
-        return self._wdist
+        """(A_0, ..., A_m): every other entry of the distribution of the
+        phi image, whose words weigh at most 2m."""
+        return self.image.weight_distribution()[:2 * self.m + 1:2]
 
     def min_distance(self) -> int:
-        dist = self.weight_distribution()
-        return next(i for i in range(1, self.m + 1) if dist[i])
+        return self.image.min_distance() // 2
 
     def __repr__(self) -> str:
         return f"QuaternaryCode({self.name}, m={self.m}, r={self.r})"

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import projcode
 from projcode.bitlin import BinaryLinearCode, iter_span_chunks
 from projcode.decoder import DecoderContext
 from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
@@ -59,6 +65,16 @@ def make_context(code_id: str) -> DecoderContext:
     base = c4_9() if code_id.endswith("36") else c4_10()
     variant = Variant.O if code_id.startswith("o") else Variant.E
     return DecoderContext(base, variant)
+
+
+def run_cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m projcode.cli *argv`` in a child that imports this
+    tree's ``src/``."""
+    src = str(Path(projcode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "projcode.cli", *argv],
+                          env=env, timeout=120, **kwargs)
 
 
 def word_from_rows(rows: tuple[str, str, str, str]) -> int:

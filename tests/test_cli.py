@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import tracemalloc
 
 import pytest
@@ -11,7 +13,7 @@ from projcode.cli import main
 from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
-from conftest import word_from_rows
+from conftest import run_cli, word_from_rows
 from golden import (CLI_TRACE_E40_EXAMPLE_4, CLI_TRACE_O36_REFUSED,
                     DECODE_EXAMPLES, QDIST_9, REFUSED_O36_WORD, WDIST_O36)
 
@@ -308,3 +310,17 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_closed_reader_exits_nonzero_without_traceback():
+    # as in `projcode gen o36 | head -1`: the reader is gone before the
+    # first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(["gen", "o36"], stdout=write_end,
+                       stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert proc.stderr == b""

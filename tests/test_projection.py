@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, parse_bits, rank
+from projcode.decoder import DecoderContext
 from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
                                  ParityProfile, Variant, construct,
                                  d_code_generators, has_projection,
@@ -226,6 +227,20 @@ def test_has_projection_accepts_matching_variant(contexts):
     assert not has_projection(contexts["o36"].binary_code, c4_10(), Variant.O)
 
 
+@pytest.mark.parametrize("variant", ["O", "X", None])
+def test_only_a_variant_is_accepted(variant, contexts):
+    # the constructions test ``variant is Variant.O``, so anything else
+    # would read as E
+    o36 = contexts["o36"].binary_code
+    for build in (lambda: construct(c4_9(), variant),
+                  lambda: projection_checks(c4_9(), variant),
+                  lambda: DecoderContext(c4_9(), variant),
+                  lambda: has_projection(o36, c4_9(), variant),
+                  lambda: has_projection(o36, c4_10(), variant)):
+        with pytest.raises(ValueError, match="not a Variant"):
+            build()
+
+
 @pytest.mark.parametrize("code_id", BINARY_IDS)
 def test_has_projection_matches_enumeration(code_id, contexts):
     code = contexts[code_id].binary_code
@@ -320,7 +335,7 @@ def test_triple_flip_in_lower_rows_preserves_projection():
 def test_render_array_marks_changes():
     word = word_from_rows(DECODE_EXAMPLES[1]["rows"])
     out = word ^ 0b0010 << 4 * (9 - 5)
-    text = render_array(out, 9, changed={5: (word >> 4 * (9 - 5)) & 15})
+    text = render_array(out, 9, out ^ word)
     lines = text.splitlines()
     assert len(lines) == 8                  # header, rules, 4 rows, projection
     assert lines[0].endswith("9")           # column header runs 1..9

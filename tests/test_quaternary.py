@@ -173,10 +173,15 @@ def test_constructor_rejects_bad_matrices(q9):
         QuaternaryCode("bad", [(1, 0, 5)], h)     # symbol outside 0..3
     with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: -1"):
         QuaternaryCode("bad", basis, [*h[:3], (-1,) * 9])
+    # 1.0 and True both equal a field element but are not ints
+    with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: 1.0"):
+        QuaternaryCode("bad", [(1.0, *basis[0][1:])], h)
+    with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: True"):
+        QuaternaryCode("bad", [(True, *basis[0][1:])], h)
     unit = tuple([1] + [0] * 8)
     with pytest.raises(ValueError):
         QuaternaryCode("bad", [unit], h)         # fails the parity check
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator rows are dependent"):
         QuaternaryCode("bad", basis + basis[:1], h)  # dependent rows
 
 
