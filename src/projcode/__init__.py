@@ -7,7 +7,7 @@ E in :mod:`projcode.projection`), giving four inequivalent binary codes.
 projecting the received word back onto GF(4) and repairing columns.
 """
 
-from .bitlin import BinaryLinearCode, CosetTable, code_equal, parse_matrix
+from .bitlin import BinaryLinearCode, CosetTable, parse_matrix
 from .decoder import DecodeOutcome, DecoderContext, DecodeTrace, decode
 from .projection import Variant, construct, has_projection
 from .quaternary import QuaternaryCode, c4_9, c4_10, parse_gf4_matrix
@@ -24,7 +24,6 @@ __all__ = [
     "Variant",
     "c4_9",
     "c4_10",
-    "code_equal",
     "construct",
     "decode",
     "has_projection",

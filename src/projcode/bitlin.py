@@ -16,7 +16,7 @@ used as the ground-truth decoder in tests.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,27 +47,31 @@ def format_bits(v: int, n: int, group: int = 0) -> str:
     return s
 
 
-def parse_matrix(text: str) -> tuple[list[int], int]:
-    """Parse a matrix: one row per line, 0/1 characters, spaces ignored.
-
-    Blank lines and lines starting with ``#`` are skipped.  Returns
-    (rows, n) and requires all rows to have equal length.
+def matrix_rows(text: str, parse_row: Callable) -> tuple[list, int]:
+    """Read a matrix: one row per line, which ``parse_row`` turns into
+    (row, length); blank lines and lines starting with ``#`` are skipped.
+    Returns (rows, n); ValueError for no rows or a row of another length.
     """
-    rows: list[int] = []
+    rows = []
     n = None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        v, width = parse_bits(stripped)
+        row, width = parse_row(stripped)
         if n is None:
             n = width
         elif width != n:
             raise ValueError(f"line {lineno}: row length {width} != {n}")
-        rows.append(v)
+        rows.append(row)
     if n is None:
         raise ValueError("no matrix rows found")
     return rows, n
+
+
+def parse_matrix(text: str) -> tuple[list[int], int]:
+    """Parse a 0/1 matrix (spaces ignored) with ``matrix_rows``."""
+    return matrix_rows(text, parse_bits)
 
 
 def format_matrix(rows: Iterable[int], n: int, group: int = 0) -> str:
@@ -113,13 +117,6 @@ def rank(rows: Sequence[int], n: int) -> int:
 def orthogonal(rows: Iterable[int], checks: Sequence[int]) -> bool:
     """True iff every row meets every check in an even number of places."""
     return not any((g & h).bit_count() & 1 for g in rows for h in checks)
-
-
-def code_equal(a: "BinaryLinearCode", b: "BinaryLinearCode") -> bool:
-    """True iff two codes have identical row spaces."""
-    if a.n != b.n or a.k != b.k:
-        return False
-    return rank(list(a.generator) + list(b.generator), a.n) == a.k
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +199,8 @@ class BinaryLinearCode:
 
     def __init__(self, rows: Sequence[int], n: int,
                  parity_rows: Sequence[int] | None = None):
-        if n > 64:
-            raise ValueError(f"length {n} exceeds 64 bits")
+        if not 0 <= n <= 64:
+            raise ValueError(f"length {n} is outside 0..64")
         self.n = n
         self.generator = tuple(rows)
         self.k = len(self.generator)
@@ -293,8 +290,13 @@ class BinaryLinearCode:
         return span_distribution(self.generator, self.n)
 
     def min_distance(self) -> int:
+        """The least nonzero weight; ValueError for a code with no nonzero
+        codeword."""
         dist = self.weight_distribution()
-        return next(i for i in range(1, self.n + 1) if dist[i])
+        d = next((i for i in range(1, self.n + 1) if dist[i]), None)
+        if d is None:
+            raise ValueError("no nonzero codeword: minimum distance undefined")
+        return d
 
 
 class CosetTable:

@@ -83,16 +83,17 @@ class DecodeTrace:
 class DecodeOutcome:
     """The read-only result of a decode.
 
-    A successful ``decode`` keeps the raw values it computed and builds
-    ``trace`` from them on each read; refusals are shared objects, one
-    per reason, with ``trace`` None."""
+    A successful ``decode`` keeps in ``raw`` the values it computed and
+    builds ``trace`` from them on each read; refusals are shared objects,
+    one per reason, with ``trace`` None."""
 
     __slots__ = ("_ok", "_codeword", "_error", "_reason", "_raw")
 
-    def __init__(self, ok: bool, reason: str | None = None):
-        self._ok = ok
-        self._codeword = self._error = self._raw = None
-        self._reason = reason
+    def __init__(self, ok: bool, codeword: int | None = None,
+                 error: int | None = None, reason: str | None = None,
+                 raw: tuple | None = None):
+        self._ok, self._codeword, self._error = ok, codeword, error
+        self._reason, self._raw = reason, raw
 
     ok = property(attrgetter("_ok"))
     codeword = property(attrgetter("_codeword"))
@@ -125,18 +126,6 @@ class DecodeOutcome:
 
 _REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
 _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
-
-
-def _decoded(codeword: int, error: int, raw: tuple) -> DecodeOutcome:
-    """A successful outcome whose trace ``_build_trace`` makes from ``raw``
-    on each read; set slot by slot, which is cheaper than ``__init__``."""
-    out = object.__new__(DecodeOutcome)
-    out._ok = True
-    out._codeword = codeword
-    out._error = error
-    out._reason = None
-    out._raw = raw
-    return out
 
 
 # the numeral of a branch label, by its index within the letter
@@ -268,4 +257,4 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     decoded = received ^ diff
     if diff.bit_count() > 3 or decoded not in ctx.binary_code:
         return _REFUSED_UNCORRECTABLE
-    return _decoded(decoded, diff, (info, s8))
+    return DecodeOutcome(True, decoded, diff, None, (info, s8))

@@ -48,18 +48,12 @@ NIBBLE_VALUE = tuple(
     for nib in range(16)
 )
 
-# the four columns projecting to each value: phi block + kernel of value map
-COSETS = tuple(
-    tuple(PHI_BLOCKS[v] ^ d for d in (0b0000, 0b1111, 0b1000, 0b0111))
-    for v in range(4)
-)
-
-# [value][parity][first_bit] -> the unique matching column nibble
-_CANDIDATE: list[list[list[int | None]]] = [
-    [[None, None], [None, None]] for _ in range(4)]
-for _v in range(4):
-    for _nib in COSETS[_v]:
-        _CANDIDATE[_v][_nib.bit_count() & 1][_nib >> 3] = _nib
+# [value][parity][first_bit] -> the unique column nibble: each of the 16
+# nibbles fills one slot, since a column's projected value, parity and
+# first bit pin it down
+_CANDIDATE = [[[0, 0], [0, 0]] for _ in range(4)]
+for _nib in range(16):
+    _CANDIDATE[NIBBLE_VALUE[_nib]][_nib.bit_count() & 1][_nib >> 3] = _nib
 
 
 def select_candidate(value: int, parity: int, first_bit: int) -> int:
@@ -67,8 +61,15 @@ def select_candidate(value: int, parity: int, first_bit: int) -> int:
     return _CANDIDATE[value][parity & 1][first_bit & 1]
 
 
+def _check_word(word: int, m: int) -> None:
+    if word >> 4 * m:
+        raise ValueError(f"word does not fit in {4 * m} bits")
+
+
 def project(word: int, m: int) -> tuple[int, ...]:
-    """Columnwise projection of a length-4m word onto GF(4)."""
+    """Columnwise projection of a length-4m word onto GF(4); ValueError
+    for a word outside 0..2^(4m) - 1."""
+    _check_word(word, m)
     return tuple(NIBBLE_VALUE[(word >> 4 * (m - i)) & 15]
                  for i in range(1, m + 1))
 
@@ -85,7 +86,9 @@ class ParityProfile:
 
 def parity_profile(word: int, m: int) -> ParityProfile:
     """The parity profile of a length-4m word.  Bit 4(m - i) of
-    ``t ^ (t >> 1)``, t = word ^ (word >> 2), is the parity of column i."""
+    ``t ^ (t >> 1)``, t = word ^ (word >> 2), is the parity of column i.
+    ValueError for a word outside 0..2^(4m) - 1."""
+    _check_word(word, m)
     t = word ^ (word >> 2)
     colbits = t ^ (t >> 1)
     pars = tuple((colbits >> 4 * (m - i)) & 1 for i in range(1, m + 1))
@@ -111,20 +114,13 @@ def d_code_generators(m: int, variant: Variant) -> list[int]:
     """The m generators completing phi(C4) to the full binary code.
 
     m-1 adjacent pair sums q_i + q_{i+1} (q_i = 1111 in column i) plus one
-    extra row: construction O takes 1000...1000 for odd m and 1000...0111
-    for even m; construction E takes the other one.
+    extra row: d1 = 1000...1000 for O when m is odd and for E when m is
+    even, and d1 + 1111 in column m = 1000...0111 otherwise.
     """
-    rows = []
-    for i in range(1, m):
-        word = (0xF << (4 * (m - i))) | (0xF << (4 * (m - i - 1)))
-        rows.append(word)
     d1 = int("1000" * m, 2)
-    d2 = int("1000" * (m - 1) + "0111", 2)
-    if variant is Variant.O:
-        rows.append(d1 if m % 2 else d2)
-    else:
-        rows.append(d2 if m % 2 else d1)
-    return rows
+    if (variant is Variant.O) != (m % 2 == 1):
+        d1 ^= 0b1111                    # 1000...0111
+    return [*(0xFF << 4 * (m - i - 1) for i in range(1, m)), d1]
 
 
 def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
@@ -175,7 +171,9 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
 def render_array(word: int, m: int, error: int = 0) -> str:
     """Labelled 4 x m table of a length-4m word: row labels 0/1/w/W, one
     column per symbol, and the projection underneath.  The bits set in
-    ``error`` are marked with a trailing ``*``."""
+    ``error`` are marked with a trailing ``*``.  ValueError for a word
+    outside 0..2^(4m) - 1."""
+    _check_word(word, m)
     width = max(3, len(str(m)) + 1)
     header = "    |" + "".join(f"{i:>{width}}" for i in range(1, m + 1))
     rule = "    +" + "-" * (width * m)

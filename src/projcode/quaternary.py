@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from . import gf4
-from .bitlin import BinaryLinearCode
+from .bitlin import BinaryLinearCode, matrix_rows, rank
 
 GF4Vector = tuple[int, ...]
 
@@ -47,11 +47,19 @@ class QuaternaryCode:
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
         self._validate()
-        # phi of each generator, 3 bits per symbol; BinaryLinearCode
-        # rejects a dependent basis
-        self.image = BinaryLinearCode(
-            [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
-             for g in self.generators], 3 * self.m)
+        # phi of each generator, 3 bits per symbol; a dependent basis,
+        # which BinaryLinearCode rejects, is reported in this code's terms
+        # and the image's other errors keep their text
+        rows = [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
+                for g in self.generators]
+        try:
+            self.image = BinaryLinearCode(rows, 3 * self.m)
+        except ValueError:
+            found = rank(rows, 3 * self.m)
+            if found == self.r:
+                raise
+            raise ValueError(f"{name}: basis rows are dependent: rank "
+                             f"{found // 2} < {len(basis)}") from None
         # packed syndrome of e * H_i for every column i (1-based) and scalar e
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         for col in zip(*self.parity_check):
@@ -166,17 +174,8 @@ def c4_10() -> QuaternaryCode:
 
 def parse_gf4_matrix(text: str) -> list[GF4Vector]:
     """One row of 0/1/w/W symbols per line; blanks and # lines skipped."""
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(gf4.parse_vector(stripped))
-    if not rows:
-        raise ValueError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("ragged matrix")
-    return rows
+    return matrix_rows(text, lambda line: (
+        row := gf4.parse_vector(line), len(row)))[0]
 
 
 def format_gf4_matrix(rows: Iterable[GF4Vector]) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import projcode
-from projcode.bitlin import BinaryLinearCode, iter_span_chunks
+from projcode.bitlin import BinaryLinearCode, iter_span_chunks, rank
 from projcode.decoder import DecoderContext
 from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
                                  projection_checks)
@@ -59,6 +59,13 @@ def plant(ctx: DecoderContext, codeword: int,
     for col, nib in errors:
         word ^= nib << (4 * (ctx.m - col))
     return word
+
+
+def code_equal(a: BinaryLinearCode, b: BinaryLinearCode) -> bool:
+    """True iff two codes have identical row spaces."""
+    if a.n != b.n or a.k != b.k:
+        return False
+    return rank(list(a.generator) + list(b.generator), a.n) == a.k
 
 
 def make_context(code_id: str) -> DecoderContext:

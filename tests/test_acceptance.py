@@ -17,13 +17,14 @@ import random
 from collections import Counter
 
 from projcode import gf4
-from projcode.bitlin import BinaryLinearCode, CosetTable, code_equal, parse_matrix
+from projcode.bitlin import BinaryLinearCode, CosetTable, parse_matrix
 from projcode.decoder import BRANCHES, decode
 from projcode.projection import has_projection
 from projcode.quaternary import c4_9, c4_10
 
 from conftest import (ACCEPTANCE_LINES, BINARY_IDS, BRANCH_ERRORS,
-                      enumerated_has_projection, plant, word_from_rows)
+                      code_equal, enumerated_has_projection, plant,
+                      word_from_rows)
 from golden import (COSET_BRANCHES_O36, COSET_OUTCOMES_SHA256,
                     COSET_REFUSAL_REASONS, COSET_REFUSALS_O36,
                     DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,

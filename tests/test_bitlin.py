@@ -9,7 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projcode import bitlin
-from projcode.bitlin import BinaryLinearCode, CosetTable, code_equal
+from projcode.bitlin import BinaryLinearCode, CosetTable
+from projcode.quaternary import QuaternaryCode
+
+from conftest import code_equal
 
 
 def _repetition4():
@@ -44,6 +47,17 @@ def test_parse_matrix_skips_comments_and_blanks():
     assert rows == [0b1001, 0b0110]
     with pytest.raises(ValueError):
         bitlin.parse_matrix("101\n10\n")
+
+
+def test_matrix_rows_names_the_ragged_line():
+    def parse_row(line):
+        return line, len(line)
+    assert bitlin.matrix_rows("# h\nab\n\n cd \n", parse_row) \
+        == (["ab", "cd"], 2)
+    with pytest.raises(ValueError, match="line 3: row length 1 != 2"):
+        bitlin.matrix_rows("ab\n\nc\n", parse_row)
+    with pytest.raises(ValueError, match="no matrix rows found"):
+        bitlin.matrix_rows("# h\n\n", parse_row)
 
 
 def test_matrix_round_trip():
@@ -264,8 +278,17 @@ def test_coset_decode_rejects_words_outside_the_length(contexts):
 
 def test_code_rejects_length_above_64():
     assert BinaryLinearCode([1 << 63], 64).n == 64
-    with pytest.raises(ValueError, match="exceeds 64"):
-        BinaryLinearCode([1], 65)
+    assert BinaryLinearCode([], 0).n == 0
+    for n in (65, -1):
+        with pytest.raises(ValueError, match=f"length {n} is outside 0..64"):
+            BinaryLinearCode([], n)
+
+
+def test_min_distance_needs_a_nonzero_codeword(q9):
+    for code in (BinaryLinearCode([], 5),
+                 QuaternaryCode("e", [], q9.parity_check)):
+        with pytest.raises(ValueError, match="no nonzero codeword"):
+            code.min_distance()
 
 
 @given(st.data())

@@ -8,12 +8,12 @@ import tracemalloc
 import pytest
 
 from projcode import cli, gf4
-from projcode.bitlin import BinaryLinearCode, code_equal, format_bits, parse_matrix
+from projcode.bitlin import BinaryLinearCode, format_bits, parse_matrix
 from projcode.cli import main
 from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
-from conftest import run_cli, word_from_rows
+from conftest import code_equal, run_cli, word_from_rows
 from golden import (CLI_TRACE_E40_EXAMPLE_4, CLI_TRACE_O36_REFUSED,
                     DECODE_EXAMPLES, QDIST_9, REFUSED_O36_WORD, WDIST_O36)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, parse_bits, rank
 from projcode.decoder import DecoderContext
-from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
+from projcode.projection import (NIBBLE_VALUE, PHI_BLOCKS,
                                  ParityProfile, Variant, construct,
                                  d_code_generators, has_projection,
                                  parity_profile, phi, project,
@@ -17,7 +17,7 @@ from projcode.projection import (COSETS, NIBBLE_VALUE, PHI_BLOCKS,
                                  select_candidate)
 from projcode.quaternary import c4_9, c4_10
 
-from conftest import (BINARY_IDS, enumerated_has_projection,
+from conftest import (BINARY_IDS, code_equal, enumerated_has_projection,
                       minority_columns, reference_parity_profile,
                       reference_project, word_from_rows)
 from golden import (COSET_TABLE, DECODE_EXAMPLES, PROJ_EXAMPLE_VALUE,
@@ -50,14 +50,16 @@ def test_nibble_value_is_additive():
 def test_cosets_match_reference_table():
     for symbol, nibbles in COSET_TABLE.items():
         value = gf4.parse_element(symbol)
-        assert {int(s, 2) for s in nibbles} == set(COSETS[value])
+        assert {NIBBLE_VALUE[int(s, 2)] for s in nibbles} == {value}
     # the sixteen nibbles split exactly into the four cosets
-    assert sorted(n for c in COSETS for n in c) == list(range(16))
+    assert sorted(int(s, 2) for nibbles in COSET_TABLE.values()
+                  for s in nibbles) == list(range(16))
 
 
 def test_select_candidate_is_inverse_of_classification():
-    for value in range(4):
-        for nib in COSETS[value]:
+    for symbol, nibbles in COSET_TABLE.items():
+        value = gf4.parse_element(symbol)
+        for nib in (int(s, 2) for s in nibbles):
             assert select_candidate(value, nib.bit_count(), nib >> 3) == nib
 
 
@@ -84,6 +86,18 @@ def test_project_matches_nibble_reference(sized_word):
 def test_projection_is_additive(a, b):
     pa, pb = project(a, 9), project(b, 9)
     assert project(a ^ b, 9) == tuple(x ^ y for x, y in zip(pa, pb))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_words_outside_the_length_are_rejected(m):
+    top = (1 << 4 * m) - 1
+    assert project(top, m) == (0,) * m
+    assert parity_profile(top, m) == reference_parity_profile(top, m)
+    render_array(top, m)
+    for word in (-1, top + 1, 1 << 40):
+        for call in (project, parity_profile, render_array):
+            with pytest.raises(ValueError, match=f"fit in {4 * m} bits"):
+                call(word, m)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +191,6 @@ def test_generator_projections_span_the_quaternary_code(contexts):
 
 
 def test_construct_matches_context(contexts):
-    from projcode.bitlin import code_equal
     assert code_equal(construct(c4_9(), Variant.O),
                       contexts["o36"].binary_code)
 

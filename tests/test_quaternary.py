@@ -181,8 +181,14 @@ def test_constructor_rejects_bad_matrices(q9):
     unit = tuple([1] + [0] * 8)
     with pytest.raises(ValueError):
         QuaternaryCode("bad", [unit], h)         # fails the parity check
-    with pytest.raises(ValueError, match="generator rows are dependent"):
+    with pytest.raises(ValueError,
+                       match="bad: basis rows are dependent: rank 5 < 6"):
         QuaternaryCode("bad", basis + basis[:1], h)  # dependent rows
+    # an image longer than 64 bits keeps its own message
+    zero = (0,) * 22
+    for rows in ([], [(1, *zero[1:])]):
+        with pytest.raises(ValueError, match="length 66 is outside 0..64"):
+            QuaternaryCode("long", rows, [zero] * 4)
 
 
 def test_syndrome_packing_round_trip():
@@ -194,7 +200,7 @@ def test_parse_format_gf4_matrix(q9):
     text = format_gf4_matrix(q9.generators)
     assert parse_gf4_matrix(text) == list(q9.generators)
     assert parse_gf4_matrix("# note\n\n0 1\nw W\n") == [(0, 1), (2, 3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2: row length 1 != 2"):
         parse_gf4_matrix("0 1\nw\n")
     with pytest.raises(ValueError):
         parse_gf4_matrix("# only comments\n")
