@@ -8,7 +8,8 @@ row ints plus an explicit width.
 Weight distributions enumerate the smaller of a code and its dual,
 vectorised with numpy on uint64 words (``BinaryLinearCode`` rejects
 n > 64), and map a dual distribution back with the MacWilliams identity,
-so a [40,22] code costs a sweep of 2^18 words.
+so a generic [40,22] code costs a sweep of 2^18 words; the constructed
+codes of ``projection`` replace this with a closed form.
 ``CosetTable`` implements syndrome decoding by stored coset leaders and is
 used as the ground-truth decoder in tests.
 """

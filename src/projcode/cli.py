@@ -4,7 +4,7 @@ Code identifiers: o36, e36, o40, e40 for the binary codes and c4-9,
 c4-10 for the underlying quaternary codes.  Subcommands:
 
   gen       print a generator matrix (--mindist to also report d)
-  wdist     weight distribution, enumerating the code or its dual
+  wdist     weight distribution
   encode    message bits -> codeword
   decode    received word -> corrected codeword (--trace, --oracle)
   mindist   minimum distance
@@ -302,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", cmd_gen, "print a generator matrix")
     p.add_argument("--mindist", action="store_true",
                    help="also compute the minimum distance")
-    add("wdist", cmd_wdist,
-        "weight distribution, enumerating the code or its dual")
+    add("wdist", cmd_wdist, "weight distribution")
     add("mindist", cmd_mindist,
         "minimum distance from the weight distribution")
 

@@ -27,11 +27,17 @@ decodes every case:
    any three columns of H are independent.  When p is odd the first
    minority coefficient is searched; the rest is one lookup, in the pair
    table of the last two minority columns when p >= 2 and in the
-   single-column table when p <= 1.
+   single-column table when p <= 1.  That lookup skips a hit in the
+   minority column itself, as a shortcut only: the search tries e = 0
+   first, where such a hit's coefficient c gives the repairs 1000 and an
+   even nibble with first entry 0, which OR, with the owed first-row
+   flip, to the error that e = c finds; but a lone error in rows 2-4 of a
+   minority column, the most common error, would repair its column twice.
 2. Repair.  The error in each repaired column is ``select_candidate(e_c,
    c in M, flip)``: it projects to e_c, is odd in a minority column and
    even in x, and its first entry is flipped for a zero minority
-   coefficient (a lone first-entry error).  The last repaired column also
+   coefficient (a lone first-entry error); x's coefficient, from the
+   single-column table, is never 0.  The last repaired column also
    takes whatever first-row flip delta still owes, which swaps its error
    for the complement within the column's coset.  A flip owed with no
    column to take it, or an error of weight above 3, is a refusal.
@@ -244,7 +250,7 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     for c in cols:
         e = coeffs[t]
         odd = t < p
-        nib = select_candidate(e, odd, odd and not e)
+        nib = select_candidate(e, odd, not e)
         owed ^= nib >> 3
         diff |= nib << 4 * (m - c)
         t += 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 
 from . import gf4
 from .bitlin import BinaryLinearCode, orthogonal
@@ -118,9 +119,14 @@ def d_code_generators(m: int, variant: Variant) -> list[int]:
     even, and d1 + 1111 in column m = 1000...0111 otherwise.
     """
     d1 = int("1000" * m, 2)
-    if (variant is Variant.O) != (m % 2 == 1):
+    if _odd_tail(m, variant):
         d1 ^= 0b1111                    # 1000...0111
     return [*(0xFF << 4 * (m - i - 1) for i in range(1, m)), d1]
+
+
+def _odd_tail(m: int, variant: Variant) -> bool:
+    """True when d's extra row is 1000...0111 rather than 1000...1000."""
+    return (variant is Variant.O) != (m % 2 == 1)
 
 
 def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
@@ -151,12 +157,43 @@ def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
     return [*synd, *(0xFF << 4 * (m - i - 1) for i in range(1, m)), first]
 
 
-def construct(c4: QuaternaryCode, variant: Variant) -> BinaryLinearCode:
+class ProjectionCode(BinaryLinearCode):
     """The [4m, m+r] binary code phi(C4) + d for the chosen variant, with
-    ``projection_checks`` as its parity-check basis."""
-    rows = [phi(g) for g in c4.generators]
-    rows += d_code_generators(c4.m, variant)
-    return BinaryLinearCode(rows, 4 * c4.m, projection_checks(c4, variant))
+    ``projection_checks`` as its parity-check basis; it keeps ``c4`` and
+    ``variant``, from which its weight distribution follows."""
+
+    def __init__(self, c4: QuaternaryCode, variant: Variant):
+        rows = [phi(g) for g in c4.generators]
+        rows += d_code_generators(c4.m, variant)
+        super().__init__(rows, 4 * c4.m, projection_checks(c4, variant))
+        self.c4, self.variant = c4, variant
+
+    def weight_distribution(self) -> tuple[int, ...]:
+        """(A_0, ..., A_4m) from C4's distribution alone.  Each codeword is
+        phi(x) + Q_S + b R for one x in C4, Q_S the 1111 columns of a set
+        S, R the first row and b in {0, 1}; |S| is even when b = 0 and,
+        when b = 1, odd exactly if d's extra row is 1000...0111.  Let x
+        have weight j and S hold t of its m - j zero columns and u of its
+        j nonzero ones.  A nonzero symbol's column weighs 2 (b = 0) or 3,
+        1 in S (b = 1); a zero symbol's 0, 4 in S (b = 0) or 1, 3 in S
+        (b = 1).  So the word weighs 2j + 4t or m + 2j + 2t - 2u."""
+        m = self.c4.m
+        odd = _odd_tail(m, self.variant)
+        dist = [0] * (4 * m + 1)
+        for j, a in enumerate(self.c4.weight_distribution()):
+            for t in range(m - j + 1):
+                for u in range(j + 1):
+                    words = a * comb(m - j, t) * comb(j, u)
+                    if not (t + u) & 1:
+                        dist[2 * j + 4 * t] += words
+                    if (t + u) & 1 == odd:
+                        dist[m + 2 * j + 2 * t - 2 * u] += words
+        return tuple(dist)
+
+
+def construct(c4: QuaternaryCode, variant: Variant) -> ProjectionCode:
+    """The [4m, m+r] binary code phi(C4) + d for the chosen variant."""
+    return ProjectionCode(c4, variant)
 
 
 def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
@@ -171,9 +208,10 @@ def has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
 def render_array(word: int, m: int, error: int = 0) -> str:
     """Labelled 4 x m table of a length-4m word: row labels 0/1/w/W, one
     column per symbol, and the projection underneath.  The bits set in
-    ``error`` are marked with a trailing ``*``.  ValueError for a word
-    outside 0..2^(4m) - 1."""
+    ``error`` are marked with a trailing ``*``.  ValueError for a word or
+    an error outside 0..2^(4m) - 1."""
     _check_word(word, m)
+    _check_word(error, m)
     width = max(3, len(str(m)) + 1)
     header = "    |" + "".join(f"{i:>{width}}" for i in range(1, m + 1))
     rule = "    +" + "-" * (width * m)

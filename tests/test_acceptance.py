@@ -68,7 +68,7 @@ def test_criterion_1_parameters(contexts):
            if (lambda c: (c.n, c.k, c.min_distance()))
            (contexts[code_id].binary_code) != (*EXPECTED_NK[code_id], 8)]
     report("criterion 1: parameters [36,19,8] x2 and [40,22,8] x2, d from "
-           "the dual's 2^17 / 2^18 words via MacWilliams", not bad,
+           "the closed-form weight distribution", not bad,
            "all four codes" if not bad else f"wrong: {bad}")
 
 

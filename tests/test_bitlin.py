@@ -173,10 +173,13 @@ def _enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
 
 
 def test_weight_distribution_matches_enumeration(contexts):
-    # the four codes and Hamming [7,4] take the dual route, [7,3] and
-    # [4,1] are enumerated themselves
+    # the four codes take the closed form of ``projection``; their plain
+    # copies and Hamming [7,4] take the dual route, [7,3] and [4,1] are
+    # enumerated themselves
     hamming = _hamming7()
     codes = [ctx.binary_code for ctx in contexts.values()]
+    codes += [BinaryLinearCode(code.generator, code.n, code.parity_rows)
+              for code in codes]
     codes += [hamming, BinaryLinearCode(hamming.parity_rows, 7),
               _repetition4()]
     for code in codes:

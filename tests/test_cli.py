@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
 from conftest import code_equal, run_cli, word_from_rows
-from golden import (CLI_TRACE_E40_EXAMPLE_4, CLI_TRACE_O36_REFUSED,
-                    DECODE_EXAMPLES, QDIST_9, REFUSED_O36_WORD, WDIST_O36)
+from golden import (CLI_DISTRIBUTION_SHA256, CLI_TRACE_E40_EXAMPLE_4,
+                    CLI_TRACE_O36_REFUSED, DECODE_EXAMPLES, QDIST_9,
+                    REFUSED_O36_WORD, WDIST_O36)
 
 
 def run(capsys, *argv):
@@ -79,6 +81,21 @@ def test_mindist(capsys):
     rv, out, _ = run(capsys, "mindist", "c4-10")
     assert rv == 0
     assert out.strip() == "d = 4"
+
+
+def test_distribution_outputs_are_pinned(capsys):
+    # every byte that wdist, mindist and gen --mindist print for the six
+    # codes, whichever route computes the distributions
+    outputs = []
+    for code_id in ("o36", "e36", "o40", "e40", "c4-9", "c4-10"):
+        for argv in (["wdist", code_id], ["wdist", code_id, "--json"],
+                     ["mindist", code_id, "--json"],
+                     ["gen", code_id, "--mindist"]):
+            rv, out, _ = run(capsys, *argv)
+            assert rv == 0
+            outputs.append(out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == CLI_DISTRIBUTION_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def test_words_outside_the_length_are_rejected(m):
         for call in (project, parity_profile, render_array):
             with pytest.raises(ValueError, match=f"fit in {4 * m} bits"):
                 call(word, m)
+        # an error outside the length would star all bits or none
+        with pytest.raises(ValueError, match=f"fit in {4 * m} bits"):
+            render_array(0, m, error=word)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,12 @@ def test_has_projection_accepts_matching_variant(contexts):
     assert not has_projection(contexts["o36"].binary_code, c4_9(), Variant.E)
     assert not has_projection(contexts["e36"].binary_code, c4_9(), Variant.O)
     assert not has_projection(contexts["o36"].binary_code, c4_10(), Variant.O)
+
+
+def test_has_projection_needs_the_length():
+    # the empty code meets every check, so only its length rules it out
+    assert not has_projection(BinaryLinearCode([], 8), c4_9(), Variant.O)
+    assert has_projection(BinaryLinearCode([], 36), c4_9(), Variant.O)
 
 
 @pytest.mark.parametrize("variant", ["O", "X", None])

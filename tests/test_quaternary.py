@@ -50,6 +50,9 @@ def test_weight_distributions(q9, q10):
     wd10 = {i: c for i, c in enumerate(q10.weight_distribution()) if c}
     assert wd9 == QDIST_9
     assert wd10 == QDIST_10
+    # the binary closed form reads A_j by index, so there is one per weight
+    assert len(q9.weight_distribution()) == q9.m + 1
+    assert len(q10.weight_distribution()) == q10.m + 1
     assert sum(wd9.values()) == 1 << q9.r
     assert sum(wd10.values()) == 1 << q10.r
     assert q9.min_distance() == 4
