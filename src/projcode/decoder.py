@@ -33,14 +33,17 @@ decodes every case:
    even nibble with first entry 0, which OR, with the owed first-row
    flip, to the error that e = c finds; but a lone error in rows 2-4 of a
    minority column, the most common error, would repair its column twice.
-2. Repair.  The error in each repaired column is ``select_candidate(e_c,
-   c in M, flip)``: it projects to e_c, is odd in a minority column and
-   even in x, and its first entry is flipped for a zero minority
-   coefficient (a lone first-entry error); x's coefficient, from the
-   single-column table, is never 0.  The last repaired column also
-   takes whatever first-row flip delta still owes, which swaps its error
-   for the complement within the column's coset.  A flip owed with no
-   column to take it, or an error of weight above 3, is a refusal.
+2. Repair.  The error in each repaired column projects to e_c, is odd in
+   a minority column and even in x, and has its first entry set only for
+   a zero minority coefficient (a lone first-entry error); x's
+   coefficient, from the single-column table, is never 0.  The context
+   holds each column's errors shifted into place, so solving yields the
+   repair with no per-column loop: the search pairs each multiple with
+   its repair, and a table hit's coefficients pick theirs.  The last
+   repaired column takes the first-row flip still owed (delta XOR the
+   repairs' first bits), which swaps its error for the complement within
+   the column's coset.  A flip owed with no column to take it, or an
+   error of weight above 3, is a refusal.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
@@ -178,31 +181,52 @@ class DecoderContext:
         self._refused_counts = sum(1 << y for y in range(m + 1)
                                    if min(y, m - y) > 3 or 2 * y == m)
         self._key_mask = (1 << m - 1) - 1
+        # Column c's repairs shifted into place, by coefficient e: the odd
+        # (minority) error projecting to e, with its first entry set only
+        # for e = 0, and the even one; and its 1111 for an owed flip.
+        self._odd_repair: list[tuple[int, ...]] = [()]
+        self._even_repair: list[tuple[int, ...]] = [()]
+        self._column_mask = [0]
+        # column c's (packed multiple, odd repair, its first bit) by e
+        searches = [()]
+        for c in range(1, m + 1):
+            at = 4 * (m - c)
+            odd = tuple(select_candidate(e, 1, not e) << at
+                        for e in gf4.ELEMENTS)
+            self._odd_repair.append(odd)
+            self._even_repair.append(tuple(select_candidate(e, 0, 0) << at
+                                           for e in gf4.ELEMENTS))
+            self._column_mask.append(0b1111 << at)
+            searches.append(tuple((s, r, r >> at + 3)
+                                  for s, r in zip(c4.colmul[c], odd)))
         # What decode needs of each minority set M of at most three columns,
         # in the slot that the syndrome's adjacent-column-pair bits give:
         # bit j is the parity of columns j + 1 and j + 2, so M's slot is
         # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
         # with p > 3 or a tie stay empty; decode refuses those first.
-        # An entry is (m, p, flip, minority, search, table).  ``flip``,
-        # XORed into the syndrome's top bit, is 1 for O when column 1 is a
-        # minority column.  ``search`` pairs each coefficient of the first
-        # minority column with its packed syndrome multiple when p is odd
-        # and is ((0, 0),) otherwise; ``table`` is the pair table of the
-        # last two minority columns when p >= 2, else the single-column
-        # table.
-        multiples = [tuple(enumerate(row)) for row in c4.colmul]
+        # An entry is (m, p, flip, minority, search, table, odd_a, odd_b,
+        # last).  ``flip``, XORed into the syndrome's top bit, is 1 for O
+        # when column 1 is a minority column.  ``search`` is the first
+        # minority column's entry of ``searches`` when p is odd, shared by
+        # every entry with that first column, and ((0, 0, 0),) otherwise.
+        # ``table`` is the pair table of the last two minority columns when
+        # p >= 2, with ``odd_a`` and ``odd_b`` their odd repairs, else the
+        # single-column table.  ``last`` is the last minority column's 1111,
+        # 0 when p = 0.
         self._profiles: list[tuple | None] = [None] * (1 << m - 1)
         for p in range(4):
             for minority in combinations(range(1, m + 1), p):
-                search, table = ((0, 0),), c4.single
+                search, table, odd_a, odd_b = ((0, 0, 0),), c4.single, (), ()
                 if p & 1:
-                    search = multiples[minority[0]]
+                    search = searches[minority[0]]
                 if p >= 2:
                     table = c4.pair_table(*minority[-2:])
+                    odd_a, odd_b = (self._odd_repair[c] for c in minority[-2:])
+                last = self._column_mask[minority[-1]] if p else 0
                 flip = int(variant is Variant.O and 1 in minority)
                 pattern = sum(1 << c - 1 for c in minority)
                 self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
-                    m, p, flip, minority, search, table)
+                    m, p, flip, minority, search, table, odd_a, odd_b, last)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's."""
@@ -220,45 +244,37 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
     info = ctx._profiles[synd >> 8 & ctx._key_mask]
-    m, p, flip, minority, search, table = info
+    m, p, flip, minority, search, table, odd_a, odd_b, last = info
     s8 = synd & 255
+    owed = synd >> ctx._first_row_bit ^ flip
 
-    # 1. solve: the coefficients of the minority columns, then that of the
-    #    other column when one is used
-    for e, shift in search:
+    # 1. solve, and 2. repair: each coefficient found ORs in its column's
+    #    repair, and each repair's first bit toggles the flip owed
+    for shift, diff, first in search:
         rest = s8 ^ shift
         if p >= 2:
             hit = table.get(rest)
             if hit is not None:
-                cols, coeffs = minority, (e, *hit)[-p:]
+                a, b = hit
+                diff |= odd_a[a] | odd_b[b]
+                owed ^= (not a) ^ (not b)   # an odd zero is 1000
                 break
         elif not rest:
-            cols, coeffs = minority, (e,) * p
             break
         else:
             hit = table.get(rest)
             if hit is not None and hit[0] not in minority:
-                cols, coeffs = minority + hit[:1], (e,) * p + hit[1:]
+                x, e = hit
+                diff |= ctx._even_repair[x][e]
+                last = ctx._column_mask[x]
                 break
     else:
         return _REFUSED_UNCORRECTABLE
-
-    # 2. repair: column t of cols is odd (a minority column) when t < p
-    diff = 0
-    owed = (synd >> ctx._first_row_bit) ^ flip
-    t = 0
-    for c in cols:
-        e = coeffs[t]
-        odd = t < p
-        nib = select_candidate(e, odd, not e)
-        owed ^= nib >> 3
-        diff |= nib << 4 * (m - c)
-        t += 1
     # the last repaired column takes the first-row flip still owed
-    if owed:
-        if not cols:
+    if owed ^ first:
+        if not last:
             return _REFUSED_UNCORRECTABLE
-        diff ^= 0b1111 << 4 * (m - cols[-1])
+        diff ^= last
 
     decoded = received ^ diff
     if diff.bit_count() > 3 or decoded not in ctx.binary_code:

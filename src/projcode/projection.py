@@ -49,17 +49,16 @@ NIBBLE_VALUE = tuple(
     for nib in range(16)
 )
 
-# [value][parity][first_bit] -> the unique column nibble: each of the 16
-# nibbles fills one slot, since a column's projected value, parity and
-# first bit pin it down
-_CANDIDATE = [[[0, 0], [0, 0]] for _ in range(4)]
-for _nib in range(16):
-    _CANDIDATE[NIBBLE_VALUE[_nib]][_nib.bit_count() & 1][_nib >> 3] = _nib
+# (value, parity, first bit) -> the unique column nibble: the 16 nibbles
+# fill the 16 keys, since a column's projected value, parity and first bit
+# pin it down
+_CANDIDATE = {(NIBBLE_VALUE[nib], nib.bit_count() & 1, nib >> 3): nib
+              for nib in range(16)}
 
 
 def select_candidate(value: int, parity: int, first_bit: int) -> int:
     """The unique column with the given projected value, parity, first bit."""
-    return _CANDIDATE[value][parity & 1][first_bit & 1]
+    return _CANDIDATE[value, parity & 1, first_bit & 1]
 
 
 def _check_word(word: int, m: int) -> None:

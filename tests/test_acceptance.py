@@ -29,7 +29,7 @@ from golden import (COSET_BRANCHES_O36, COSET_OUTCOMES_SHA256,
                     COSET_REFUSAL_REASONS, COSET_REFUSALS_O36,
                     DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
                     QDIST_9, QDIST_10, WDIST_E36, WDIST_E40, WDIST_O36,
-                    WDIST_O40)
+                    WDIST_O40, branch_counts)
 
 EXPECTED_NK = {"o36": (36, 19), "e36": (36, 19),
                "o40": (40, 22), "e40": (40, 22)}
@@ -227,7 +227,6 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
 
     monkeypatch.setattr(BinaryLinearCode, "__contains__", counted)
     decoded = {}
-    branches: Counter = Counter()
     digest = hashlib.sha256()
     for code_id in BINARY_IDS:
         ctx = contexts[code_id]
@@ -235,14 +234,14 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
         reps = _coset_representatives(ctx.binary_code)
         hits = mismatches = 0
         reasons: Counter = Counter()
+        branches: Counter = Counter()
         for y in reps:
             out = decode(ctx, y)
             if (out.codeword if out.ok else None) != oracle(y):
                 mismatches += 1
             if out.ok:
                 hits += 1
-                if code_id == "o36":
-                    branches[out.trace.branch] += 1
+                branches[out.trace.branch] += 1
             else:
                 reasons[out.reason] += 1
             digest.update(repr((out.ok, out.codeword, out.error, out.reason,
@@ -251,6 +250,11 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
         expected = sum(math.comb(ctx.n, w) for w in range(4))
         if mismatches or hits != expected:
             bad.append(code_id)
+        # every branch count follows its formula in m, and the formulas
+        # cover each error of weight <= 3 once
+        formulas = branch_counts(ctx.m)
+        if branches != formulas or sum(formulas.values()) != expected:
+            bad.append(f"{code_id} branches {dict(branches)}")
         if reasons != COSET_REFUSAL_REASONS[code_id]:
             bad.append(f"{code_id} refusal reasons {dict(reasons)}")
         if code_id == "o36" and (len(reps) - hits != COSET_REFUSALS_O36
@@ -263,7 +267,7 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
         bad.append(f"membership guard {dict(guard)}")
     report("criterion 10: every coset of the four codes decodes exactly as "
            "the coset-leader oracle, with the golden o36 branch table, "
-           "refusal reasons and outcome hash; the final membership guard "
-           "rejects no word",
+           "branch counts from their formulas in m, refusal reasons and "
+           "outcome hash; the final membership guard rejects no word",
            not bad, f"decoded {decoded}, o36 refused "
            f"{COSET_REFUSALS_O36}" if not bad else f"wrong: {bad}")

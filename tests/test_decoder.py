@@ -335,3 +335,35 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     pairs = {id(ab) for i, j in itertools.combinations(range(1, ctx.m + 1), 2)
              for ab in ctx.c4.pair_table(i, j).values()}
     assert len(pairs) == 16
+    # an odd-p entry holds the search tuple of its first minority column,
+    # one object per column: (multiple, odd repair, its first bit) by e
+    search = {}
+    for _, p, _, minority, found, table, odd_a, odd_b, last in filled:
+        assert last == (ctx._column_mask[minority[-1]] if p else 0)
+        if p >= 2:
+            assert table is ctx.c4.pair_table(*minority[-2:])
+            assert (odd_a, odd_b) == tuple(ctx._odd_repair[c]
+                                           for c in minority[-2:])
+        else:
+            assert table is ctx.c4.single
+        if p & 1:
+            assert search.setdefault(minority[0], found) is found
+            assert found == tuple(
+                (ctx.c4.colmul[minority[0]][e], r, int(e == 0))
+                for e, r in enumerate(ctx._odd_repair[minority[0]]))
+        else:
+            assert found == ((0, 0, 0),)
+    assert sorted(search) == list(range(1, ctx.m + 1))
+
+
+@pytest.mark.parametrize("code_id", BINARY_IDS)
+def test_repairs_are_positioned_candidates(code_id):
+    # column c's repairs with coefficient e are select_candidate's nibbles
+    # at the column's place in the word, and its mask is that place's 1111
+    ctx = _context(code_id)
+    for c in range(1, ctx.m + 1):
+        at = 4 * (ctx.m - c)
+        assert ctx._column_mask[c] == 0b1111 << at
+        for e in gf4.ELEMENTS:
+            assert ctx._odd_repair[c][e] == select_candidate(e, 1, not e) << at
+            assert ctx._even_repair[c][e] == select_candidate(e, 0, 0) << at

@@ -184,6 +184,11 @@ def test_constructor_rejects_bad_matrices(q9):
     unit = tuple([1] + [0] * 8)
     with pytest.raises(ValueError):
         QuaternaryCode("bad", [unit], h)         # fails the parity check
+    # every basis row is checked: here the last one fails, and is named
+    last = (*basis[-1][:-1], basis[-1][-1] ^ 1)
+    with pytest.raises(ValueError, match=f"bad: generator "
+                       f"{gf4.format_vector(last)} fails the parity check"):
+        QuaternaryCode("bad", [*basis[:-1], last], h)
     with pytest.raises(ValueError,
                        match="bad: basis rows are dependent: rank 5 < 6"):
         QuaternaryCode("bad", basis + basis[:1], h)  # dependent rows
