@@ -10,13 +10,15 @@ vectorised with numpy on uint64 words (``BinaryLinearCode`` rejects
 n > 64), and map a dual distribution back with the MacWilliams identity,
 so a generic [40,22] code costs a sweep of 2^18 words; the constructed
 codes of ``projection`` replace this with a closed form.
-``CosetTable`` implements syndrome decoding by stored coset leaders and is
+A syndrome is one lookup per byte of the word, in tables spanned by that
+byte's unit syndromes: five bytes for n <= 40, eight for longer codes.
+``CosetTable`` implements syndrome decoding by stored coset leaders, built
+by extending each stored lower-weight pattern by one position, and is
 used as the ground-truth decoder in tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -184,14 +186,15 @@ def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
 # syndrome tables
 
 def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
-    """The eight per-byte lookup tables of the syndrome whose bit j is the
+    """The per-byte lookup tables of the syndrome whose bit j is the
     parity of ``parity_rows[j]``, so a syndrome costs one indexing per
     byte: each is the span of its byte's eight unit syndromes, which are
-    zero past n."""
+    zero past n.  There are five tables for n <= 40, which covers the
+    constructed codes, and eight for longer words."""
     units = [sum(((h >> q) & 1) << j for j, h in enumerate(parity_rows))
              for q in range(n)] + [0] * (-n % 8)
     tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
-    return tables + [[0] * 256] * (8 - len(tables))
+    return tables + [[0] * 256] * ((5 if n <= 40 else 8) - len(tables))
 
 
 class BinaryLinearCode:
@@ -257,11 +260,16 @@ class BinaryLinearCode:
     def syndrome(self, word: int) -> int:
         """The syndrome of a word in 0..2^n - 1: bit j is the parity of
         ``parity_rows[j]`` over the word; ValueError outside that range."""
-        if word >> self.n:
-            raise ValueError(f"word does not fit in {self.n} bits")
+        n = self.n
+        if word >> n:
+            raise ValueError(f"word does not fit in {n} bits")
         tables = self._synd_tables
         if tables is None:
-            tables = self._synd_tables = _byte_tables(self.parity_rows, self.n)
+            tables = self._synd_tables = _byte_tables(self.parity_rows, n)
+        if n <= 40:
+            t0, t1, t2, t3, t4 = tables
+            b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
+            return t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
         t0, t1, t2, t3, t4, t5, t6, t7 = tables
         b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
         return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
@@ -306,7 +314,9 @@ class CosetTable:
     Built by enumerating error patterns of weight 0, 1, 2, ... with
     positions in left-to-right order; the first pattern to reach a
     syndrome wins, so stored leaders are minimum-weight and ties resolve
-    to the lexicographically smallest position tuple.
+    to the lexicographically smallest position tuple.  Each weight-(w+1)
+    pattern is a stored weight-w pattern extended by one later position;
+    the last weight is streamed, not stored.
     """
 
     def __init__(self, code: BinaryLinearCode, max_weight: int = 3):
@@ -315,18 +325,30 @@ class CosetTable:
                              f"{_MAX_TABLE_REDUNDANCY}")
         self.code = code
         n = code.n
-        # unit syndrome by 1-based coordinate (coordinate c is bit n-c)
-        by_coord = [code.syndrome(1 << (n - c)) for c in range(1, n + 1)]
+        # (unit syndrome, unit bit) by position, left to right
+        units = [(code.syndrome(1 << b), 1 << b) for b in reversed(range(n))]
         leaders: dict[int, int] = {0: 0}
+        add = leaders.setdefault
+        # the weight-w patterns in lexicographic order of positions: their
+        # syndromes, errors and first positions free to extend them, as
+        # parallel lists of ints the table mostly holds anyway
+        synds, errors, starts = [0], [0], [0]
         for w in range(1, max_weight + 1):
-            for coords in itertools.combinations(range(1, n + 1), w):
-                s = 0
-                e = 0
-                for c in coords:
-                    s ^= by_coord[c - 1]
-                    e |= 1 << (n - c)
-                if s not in leaders:
-                    leaders[s] = e
+            prefixes = zip(synds, errors, starts)
+            if w == max_weight:
+                for s, e, start in prefixes:
+                    for us, ub in units[start:]:
+                        add(s ^ us, e | ub)
+                break
+            synds, errors, starts = [], [], []
+            for s, e, start in prefixes:
+                for c in range(start, n):
+                    us, ub = units[c]
+                    s_next, e_next = s ^ us, e | ub
+                    add(s_next, e_next)
+                    synds.append(s_next)
+                    errors.append(e_next)
+                    starts.append(c + 1)
         self.leaders = leaders
 
     def decode(self, word: int) -> int | None:

@@ -196,13 +196,9 @@ def cmd_decode(args, parser) -> int:
 
 
 def _error_patterns(n: int, max_weight: int):
-    yield 0
-    for w in range(1, max_weight + 1):
-        for coords in itertools.combinations(range(n), w):
-            e = 0
-            for c in coords:
-                e |= 1 << c
-            yield e
+    units = [1 << c for c in range(n)]
+    for w in range(max_weight + 1):
+        yield from map(sum, itertools.combinations(units, w))
 
 
 def cmd_exhaust(args, parser) -> int:

@@ -30,6 +30,12 @@ def _hamming7():
     return BinaryLinearCode(rows, n)
 
 
+def _hamming8():
+    # the [8,4,4] extension of _hamming7 by an overall parity bit
+    return BinaryLinearCode([r << 1 | r.bit_count() & 1
+                             for r in _hamming7().generator], 8)
+
+
 def test_parse_format_bits():
     v, n = bitlin.parse_bits("0010 1110")
     assert (v, n) == (0b00101110, 8)
@@ -224,6 +230,35 @@ def test_coset_table_leaders_are_minimal():
         assert table.code.syndrome(e) == s
 
 
+def _reference_leaders(code, max_weight):
+    """Brute force: every syndrome reached by weight <= max_weight, with
+    the least pattern by (weight, 1-based position tuple); position c is
+    bit n - c, and syndromes are check-row parities."""
+    n = code.n
+    best = {}
+    for w in range(max_weight + 1):
+        for positions in itertools.combinations(range(1, n + 1), w):
+            e = sum(1 << (n - c) for c in positions)
+            s = sum(((e & h).bit_count() & 1) << j
+                    for j, h in enumerate(code.parity_rows))
+            best[s] = min(best.get(s, (w, positions)), (w, positions))
+    return {s: sum(1 << (n - c) for c in positions)
+            for s, (_, positions) in best.items()}
+
+
+def test_coset_table_tie_rule(contexts):
+    rep = _repetition4()
+    cases = ([(rep, 2), (contexts["o36"].binary_code, 3)]
+             + [(code, w) for code in (_hamming7(), _hamming8())
+                for w in range(4)])
+    for code, max_weight in cases:
+        assert CosetTable(code, max_weight).leaders \
+            == _reference_leaders(code, max_weight), (code.n, max_weight)
+    # 1100 and 0011 share a syndrome; positions (1, 2) come first
+    assert rep.syndrome(0b1100) == rep.syndrome(0b0011)
+    assert CosetTable(rep, 2).leaders[rep.syndrome(0b0011)] == 0b1100
+
+
 def test_coset_decode_round_trip():
     code = _hamming7()
     table = CosetTable(code, max_weight=1)
@@ -296,9 +331,9 @@ def test_min_distance_needs_a_nonzero_codeword(q9):
 
 @given(st.data())
 def test_syndrome_bits_are_check_row_parities(data):
-    # repetition codes whose words fill one, five and all eight of the
-    # syndrome's byte tables
-    n = data.draw(st.sampled_from((4, 40, 64)))
+    # repetition codes on both sides of the five-table limit (n <= 40)
+    # and at both ends of the eight-table range
+    n = data.draw(st.sampled_from((4, 36, 40, 41, 64)))
     code = BinaryLinearCode([(1 << n) - 1], n)
     word = data.draw(st.integers(0, (1 << n) - 1))
     expected = sum(((word & h).bit_count() & 1) << j

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -229,6 +230,14 @@ def test_exhaust_small_sweep(capsys):
     assert rv == 0
     assert out == ("2001 decodes over 3 codewords, errors up to weight 2: "
                    "2001 correct, 0 wrong, 0 oracle mismatches\n")
+
+
+def test_error_patterns_are_position_combinations():
+    for max_weight in range(4):
+        expected = [sum(1 << c for c in positions)
+                    for w in range(max_weight + 1)
+                    for positions in itertools.combinations(range(36), w)]
+        assert list(cli._error_patterns(36, max_weight)) == expected
 
 
 def test_exhaust_memory_does_not_grow_with_the_patterns(capsys):
