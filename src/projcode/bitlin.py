@@ -12,9 +12,9 @@ so a generic [40,22] code costs a sweep of 2^18 words; the constructed
 codes of ``projection`` replace this with a closed form.
 A syndrome is one lookup per byte of the word, in tables spanned by that
 byte's unit syndromes: five bytes for n <= 40, eight for longer codes.
-``CosetTable`` implements syndrome decoding by stored coset leaders, built
-by extending each stored lower-weight pattern by one position, and is
-used as the ground-truth decoder in tests.
+``CosetTable`` implements syndrome decoding by stored coset leaders for
+every error of weight <= 3, and is the ground-truth decoder of the tests,
+``exhaust`` and ``decode --oracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 _MAX_ENUM_K = 26         # refuse to enumerate more than 2^26 words
-_MAX_TABLE_REDUNDANCY = 20   # refuse coset tables beyond 2^20 syndromes
 _CHUNK_ROWS = 16         # enumeration chunk size: 2^16 words at a time
 
 
@@ -77,7 +76,7 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
     return matrix_rows(text, parse_bits)
 
 
-def format_matrix(rows: Iterable[int], n: int, group: int = 0) -> str:
+def format_matrix(rows: Iterable[int], n: int, group: int) -> str:
     return "\n".join(format_bits(r, n, group) for r in rows)
 
 
@@ -188,13 +187,14 @@ def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
 def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
     """The per-byte lookup tables of the syndrome whose bit j is the
     parity of ``parity_rows[j]``, so a syndrome costs one indexing per
-    byte: each is the span of its byte's eight unit syndromes, which are
-    zero past n.  There are five tables for n <= 40, which covers the
-    constructed codes, and eight for longer words."""
+    byte: each is the span of its byte's unit syndromes below n, as long
+    as the range check in ``syndrome`` lets that byte be, and a byte past
+    n, always 0, shares one ``[0]``.  There are five tables for n <= 40,
+    which covers the constructed codes, and eight for longer words."""
     units = [sum(((h >> q) & 1) << j for j, h in enumerate(parity_rows))
-             for q in range(n)] + [0] * (-n % 8)
+             for q in range(n)]
     tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
-    return tables + [[0] * 256] * ((5 if n <= 40 else 8) - len(tables))
+    return tables + [[0]] * ((5 if n <= 40 else 8) - len(tables))
 
 
 class BinaryLinearCode:
@@ -309,51 +309,38 @@ class BinaryLinearCode:
 
 
 class CosetTable:
-    """Coset leaders for every syndrome reachable by weight <= max_weight.
+    """Coset leaders for every syndrome reachable by an error of weight
+    <= 3, the decoder's radius: at most sum_{w <= 3} C(n, w) entries.
 
-    Built by enumerating error patterns of weight 0, 1, 2, ... with
+    Built by enumerating error patterns of weight 0, 1, 2, 3 with
     positions in left-to-right order; the first pattern to reach a
     syndrome wins, so stored leaders are minimum-weight and ties resolve
-    to the lexicographically smallest position tuple.  Each weight-(w+1)
-    pattern is a stored weight-w pattern extended by one later position;
-    the last weight is streamed, not stored.
+    to the lexicographically smallest position tuple.  Each pattern is a
+    lower-weight prefix extended by one later position.
     """
 
-    def __init__(self, code: BinaryLinearCode, max_weight: int = 3):
-        if code.n - code.k > _MAX_TABLE_REDUNDANCY:
-            raise ValueError(f"n-k = {code.n - code.k} exceeds table budget "
-                             f"{_MAX_TABLE_REDUNDANCY}")
+    def __init__(self, code: BinaryLinearCode):
         self.code = code
-        n = code.n
         # (unit syndrome, unit bit) by position, left to right
-        units = [(code.syndrome(1 << b), 1 << b) for b in reversed(range(n))]
+        units = [(code.syndrome(1 << b), 1 << b) for b in range(code.n)][::-1]
         leaders: dict[int, int] = {0: 0}
         add = leaders.setdefault
-        # the weight-w patterns in lexicographic order of positions: their
-        # syndromes, errors and first positions free to extend them, as
-        # parallel lists of ints the table mostly holds anyway
-        synds, errors, starts = [0], [0], [0]
-        for w in range(1, max_weight + 1):
-            prefixes = zip(synds, errors, starts)
-            if w == max_weight:
-                for s, e, start in prefixes:
-                    for us, ub in units[start:]:
-                        add(s ^ us, e | ub)
-                break
-            synds, errors, starts = [], [], []
-            for s, e, start in prefixes:
-                for c in range(start, n):
-                    us, ub = units[c]
-                    s_next, e_next = s ^ us, e | ub
-                    add(s_next, e_next)
-                    synds.append(s_next)
-                    errors.append(e_next)
-                    starts.append(c + 1)
+        for s, e in units:
+            add(s, e)
+        for i, (s, e) in enumerate(units, 1):
+            for s2, e2 in units[i:]:
+                add(s ^ s2, e | e2)
+        for i, (s, e) in enumerate(units, 1):
+            for j, (s2, e2) in enumerate(units[i:], i + 1):
+                s2 ^= s
+                e2 |= e
+                for s3, e3 in units[j:]:
+                    add(s2 ^ s3, e2 | e3)
         self.leaders = leaders
 
     def decode(self, word: int) -> int | None:
         """Nearest codeword by coset leader, or None if the syndrome is
-        outside the table (word further than max_weight from the code).
+        outside the table (word further than 3 from the code).
         A word outside 0..2^n - 1 raises ValueError."""
         leader = self.leaders.get(self.code.syndrome(word))
         if leader is None:

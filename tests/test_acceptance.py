@@ -120,7 +120,7 @@ def test_criterion_6_decoding_completeness(contexts):
     for idx, code_id in enumerate(BINARY_IDS):
         ctx = contexts[code_id]
         code = ctx.binary_code
-        oracle = CosetTable(code, max_weight=3).decode
+        oracle = CosetTable(code).decode
         rng = random.Random(600 + idx)
         words = [0] + [code.encode(rng.getrandbits(code.k))
                        for _ in range(200)]
@@ -230,7 +230,7 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
     digest = hashlib.sha256()
     for code_id in BINARY_IDS:
         ctx = contexts[code_id]
-        oracle = CosetTable(ctx.binary_code, max_weight=3).decode
+        oracle = CosetTable(ctx.binary_code).decode
         reps = _coset_representatives(ctx.binary_code)
         hits = mismatches = 0
         reasons: Counter = Counter()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,12 +37,19 @@ def _hamming8():
                              for r in _hamming7().generator], 8)
 
 
+def _parities(code, word):
+    """The syndrome by definition: bit j is the parity of check row j
+    over the word."""
+    return sum(((word & h).bit_count() & 1) << j
+               for j, h in enumerate(code.parity_rows))
+
+
 def test_parse_format_bits():
     v, n = bitlin.parse_bits("0010 1110")
     assert (v, n) == (0b00101110, 8)
     assert bitlin.format_bits(v, n) == "00101110"
     assert bitlin.format_bits(v, n, group=4) == "0010 1110"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a binary digit: 'x'"):
         bitlin.parse_bits("01x0")
     with pytest.raises(ValueError):
         bitlin.parse_bits("   ")
@@ -169,6 +177,9 @@ def test_weight_distribution_small_codes():
     # Hamming [7,4,3]: 1 + 7z^3 + 7z^4 + z^7
     assert _hamming7().weight_distribution() == (1, 0, 0, 7, 7, 0, 0, 1)
     assert _hamming7().min_distance() == 3
+    # d at both ends of 1..n
+    assert _repetition4().min_distance() == 4
+    assert BinaryLinearCode([0b0010, 0b1100], 4).min_distance() == 1
 
 
 def _enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
@@ -221,7 +232,7 @@ def test_code_equal_permuted_generators():
 
 def test_coset_table_leaders_are_minimal():
     code = _hamming7()
-    table = CosetTable(code, max_weight=1)
+    table = CosetTable(code)
     # perfect single-error-correcting: every syndrome has a weight<=1 leader
     assert len(table.leaders) == 8
     assert table.leaders[0] == 0
@@ -230,55 +241,60 @@ def test_coset_table_leaders_are_minimal():
         assert table.code.syndrome(e) == s
 
 
-def _reference_leaders(code, max_weight):
-    """Brute force: every syndrome reached by weight <= max_weight, with
-    the least pattern by (weight, 1-based position tuple); position c is
-    bit n - c, and syndromes are check-row parities."""
+def _reference_leaders(code):
+    """Brute force: every syndrome reached by weight <= 3, with the least
+    pattern by (weight, 1-based position tuple); position c is bit n - c."""
     n = code.n
     best = {}
-    for w in range(max_weight + 1):
+    for w in range(4):
         for positions in itertools.combinations(range(1, n + 1), w):
             e = sum(1 << (n - c) for c in positions)
-            s = sum(((e & h).bit_count() & 1) << j
-                    for j, h in enumerate(code.parity_rows))
+            s = _parities(code, e)
             best[s] = min(best.get(s, (w, positions)), (w, positions))
     return {s: sum(1 << (n - c) for c in positions)
             for s, (_, positions) in best.items()}
 
 
+def _code_30_1():
+    # [30,1]: n - k = 29 check rows, and the one codeword has weight 1
+    return BinaryLinearCode([1 << 29], 30)
+
+
 def test_coset_table_tie_rule(contexts):
     rep = _repetition4()
-    cases = ([(rep, 2), (contexts["o36"].binary_code, 3)]
-             + [(code, w) for code in (_hamming7(), _hamming8())
-                for w in range(4)])
-    for code, max_weight in cases:
-        assert CosetTable(code, max_weight).leaders \
-            == _reference_leaders(code, max_weight), (code.n, max_weight)
+    for code in (rep, _hamming7(), _hamming8(),
+                 contexts["o36"].binary_code, _code_30_1()):
+        assert CosetTable(code).leaders == _reference_leaders(code), code.n
     # 1100 and 0011 share a syndrome; positions (1, 2) come first
     assert rep.syndrome(0b1100) == rep.syndrome(0b0011)
-    assert CosetTable(rep, 2).leaders[rep.syndrome(0b0011)] == 0b1100
+    assert CosetTable(rep).leaders[rep.syndrome(0b0011)] == 0b1100
 
 
 def test_coset_decode_round_trip():
     code = _hamming7()
-    table = CosetTable(code, max_weight=1)
+    table = CosetTable(code)
     for msg in range(1 << code.k):
         c = code.encode(msg)
         for pos in range(code.n):
             assert table.decode(c ^ (1 << pos)) == c
 
 
-def test_coset_decode_reports_truncation():
-    code = _repetition4()
-    table = CosetTable(code, max_weight=1)
-    # weight-2 word is distance 2 from both codewords: outside the table
-    assert table.decode(0b0011) is None
+def test_coset_decode_reports_truncation(contexts):
+    code = contexts["o36"].binary_code
+    table = CosetTable(code)
+    # d = 8: a weight-4 error is 4 or more from every codeword, beyond
+    # the table's radius 3, while its weight-3 part is corrected
+    c = code.encode(12345)
+    assert table.decode(c ^ 0b1111) is None
+    assert table.decode(c ^ 0b0111) == c
 
 
 def test_coset_table_budget():
-    rows = [1 << 29]
-    with pytest.raises(ValueError):
-        CosetTable(BinaryLinearCode(rows, 30))
+    # no budget on n - k: the table holds one leader per syndrome of
+    # weight <= 3, so the [30,1] code's 2^29 syndromes cost 4,090
+    # entries, the weight <= 3 patterns that avoid its codeword's bit
+    table = CosetTable(_code_30_1())
+    assert len(table.leaders) == sum(math.comb(29, w) for w in range(4))
 
 
 def test_syndrome_zero_iff_member(contexts):
@@ -307,7 +323,7 @@ def test_words_outside_the_length_are_rejected(contexts, make):
 
 def test_coset_decode_rejects_words_outside_the_length(contexts):
     code = contexts["o40"].binary_code
-    table = CosetTable(code, max_weight=1)
+    table = CosetTable(code)
     c = code.encode(12345)
     assert table.decode(c ^ 1) == c
     with pytest.raises(ValueError, match="40 bits"):
@@ -329,6 +345,24 @@ def test_min_distance_needs_a_nonzero_codeword(q9):
             code.min_distance()
 
 
+@pytest.mark.parametrize("n", (36, 40, 41, 64))
+def test_syndrome_tables_on_dense_codes(n):
+    # dense random codes and words that set every byte, which tell XOR
+    # from OR in each of the five or eight table lookups
+    rng = random.Random(n)
+    k = n // 2
+    rows = [rng.getrandbits(n) for _ in range(k)]
+    while bitlin.rank(rows, n) < k:
+        rows = [rng.getrandbits(n) for _ in range(k)]
+    code = BinaryLinearCode(rows, n)
+    ones = (1 << n) - 1
+    alternate = int.from_bytes(b"\xff\x00" * 4, "little") & ones
+    words = [ones, alternate, alternate ^ ones] \
+        + [rng.getrandbits(n) for _ in range(200)]
+    for word in words:
+        assert code.syndrome(word) == _parities(code, word)
+
+
 @given(st.data())
 def test_syndrome_bits_are_check_row_parities(data):
     # repetition codes on both sides of the five-table limit (n <= 40)
@@ -336,15 +370,13 @@ def test_syndrome_bits_are_check_row_parities(data):
     n = data.draw(st.sampled_from((4, 36, 40, 41, 64)))
     code = BinaryLinearCode([(1 << n) - 1], n)
     word = data.draw(st.integers(0, (1 << n) - 1))
-    expected = sum(((word & h).bit_count() & 1) << j
-                   for j, h in enumerate(code.parity_rows))
-    assert code.syndrome(word) == expected
+    assert code.syndrome(word) == _parities(code, word)
 
 
 def test_coset_table_weight3_syndromes_distinct(contexts):
     # d = 8 means every error of weight <= 3 owns its syndrome
     code = contexts["o36"].binary_code
-    table = CosetTable(code, max_weight=3)
+    table = CosetTable(code)
     expected = 1 + sum(len(list(itertools.combinations(range(36), w)))
                        for w in (1, 2, 3))
     assert len(table.leaders) == expected == 7807

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from projcode import cli, gf4
-from projcode.bitlin import BinaryLinearCode, format_bits, parse_matrix
+from projcode.bitlin import (BinaryLinearCode, CosetTable, format_bits,
+                             parse_matrix)
 from projcode.cli import main
 from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
@@ -258,6 +260,71 @@ def test_exhaust_memory_does_not_grow_with_the_patterns(capsys):
     assert peak < 300 * 1024
 
 
+@pytest.mark.parametrize("flags, bad_decode, bad_oracle, wrong, mismatches", [
+    ((), 5, 9, 1, 2),
+    (("--no-oracle",), 5, None, 1, None),
+    ((), None, 9, 0, 1),
+], ids=["both", "decoder-only", "oracle-only"])
+def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
+                                 bad_decode, bad_oracle, wrong, mismatches):
+    # the decoder never fails, so stubs make the failures: the decoder is
+    # wrong on its call bad_decode and the oracle on its call bad_oracle;
+    # the oracle's true answer also disagrees with the wrong decode
+    received, oracle_calls = [], []
+    real_decode = cli.decode
+
+    def decode(ctx, y):
+        received.append(y)
+        outcome = real_decode(ctx, y)
+        if len(received) == bad_decode:
+            return SimpleNamespace(codeword=outcome.codeword ^ 1)
+        return outcome
+
+    class Oracle(CosetTable):
+        def decode(self, y):
+            oracle_calls.append(y)
+            if len(oracle_calls) == bad_oracle:
+                return None
+            return super().decode(y)
+
+    monkeypatch.setattr(cli, "decode", decode)
+    monkeypatch.setattr(cli, "CosetTable", Oracle)
+    argv = ("exhaust", "o36", "--samples", "1", "--max-weight", "1",
+            "--seed", "5", *flags)
+    rv, out, _ = run(capsys, *argv, "--json")
+    assert rv == 1
+    assert json.loads(out) == {
+        "code": "o36", "max_weight": 1, "samples": 1, "seed": 5,
+        "trials": 74, "wrong": wrong, "oracle_mismatches": mismatches,
+        "ok": False}
+    # every received word is a sampled codeword plus a pattern
+    code = contexts["o36"].binary_code
+    words = [0, code.encode(cli._trial_rng(5, 0).getrandbits(code.k))]
+    assert received == [c ^ e for e in [0, *(1 << b for b in range(36))]
+                        for c in words]
+    received.clear()
+    oracle_calls.clear()
+    rv, out, _ = run(capsys, *argv)
+    assert rv == 1
+    assert out == (f"74 decodes over 2 codewords, errors up to weight 1: "
+                   f"{74 - wrong} correct, {wrong} wrong"
+                   + ("" if mismatches is None
+                      else f", {mismatches} oracle mismatches") + "\n")
+
+
+def test_zero_and_full_weights_run(capsys):
+    rv, out, _ = run(capsys, "exhaust", "o36", "--samples", "2",
+                     "--max-weight", "0")
+    assert rv == 0
+    assert out == ("3 decodes over 3 codewords, errors up to weight 0: "
+                   "3 correct, 0 wrong, 0 oracle mismatches\n")
+    for weight, successes in (("0", 5), ("36", 0)):
+        rv, out, _ = run(capsys, "simulate", "o36", "--trials", "5",
+                         "--weight", weight, "--json")
+        assert rv == 0
+        assert json.loads(out)["successes"] == successes
+
+
 def test_exhaust_without_oracle(capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("--no-oracle built a CosetTable")
@@ -283,6 +350,18 @@ def test_simulate_weight3_always_succeeds(capsys):
     assert payload["failures"] == 0
     assert payload["miscorrections"] == 0
     assert "mean decode time" in err
+
+
+def test_simulate_report_is_pinned(capsys):
+    # the per-trial streams that make reports reproducible, and the
+    # miscorrections: weight-5 errors that land within 3 of another
+    # codeword
+    rv, out, _ = run(capsys, "simulate", "o36", "--weight", "5",
+                     "--trials", "2000", "--seed", "3", "--json")
+    assert rv == 0
+    assert out == ('{"code": "o36", "trials": 2000, "weight": 5, "seed": 3, '
+                   '"successes": 0, "failures": 1875, '
+                   '"miscorrections": 125}\n')
 
 
 def test_simulate_is_deterministic(capsys):
@@ -326,9 +405,12 @@ def test_unknown_code_or_command(capsys):
     # a negative seed would replay the stream of its absolute value
     (["exhaust", "o36", "--seed", "-1"], "--seed must be >= 0"),
     (["simulate", "o36", "--seed", "-1"], "--seed must be >= 0"),
+    # the sweep stops at the decoder's radius
+    (["exhaust", "o36", "--max-weight", "4"],
+     "--max-weight: invalid choice"),
 ], ids=["weight-above-n", "weight-negative", "trials-negative",
         "samples-negative", "exhaust-seed-negative",
-        "simulate-seed-negative"])
+        "simulate-seed-negative", "max-weight-above-3"])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -340,7 +422,7 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
 
 def test_closed_reader_exits_nonzero_without_traceback():
     # as in `projcode gen o36 | head -1`: the reader is gone before the
-    # first write
+    # first write; exit 1, as for a failure
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -348,5 +430,5 @@ def test_closed_reader_exits_nonzero_without_traceback():
                        stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert proc.returncode != 0
+    assert proc.returncode == 1
     assert proc.stderr == b""

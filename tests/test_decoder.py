@@ -163,7 +163,7 @@ def test_oversized_word_rejected(contexts):
 
 @pytest.fixture(scope="module")
 def oracle36(contexts):
-    return CosetTable(contexts["o36"].binary_code, max_weight=3)
+    return CosetTable(contexts["o36"].binary_code)
 
 
 def test_all_weight_le3_patterns_on_o36(contexts, oracle36):

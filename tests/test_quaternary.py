@@ -182,8 +182,10 @@ def test_constructor_rejects_bad_matrices(q9):
     with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: True"):
         QuaternaryCode("bad", [(True, *basis[0][1:])], h)
     unit = tuple([1] + [0] * 8)
-    with pytest.raises(ValueError):
-        QuaternaryCode("bad", [unit], h)         # fails the parity check
+    # the message carries the failing row's syndrome
+    with pytest.raises(ValueError, match=r"bad: generator 1 0 0 0 0 0 0 0 0 "
+                       r"fails the parity check \(syndrome 1 0 0 0\)$"):
+        QuaternaryCode("bad", [unit], h)
     # every basis row is checked: here the last one fails, and is named
     last = (*basis[-1][:-1], basis[-1][-1] ^ 1)
     with pytest.raises(ValueError, match=f"bad: generator "
