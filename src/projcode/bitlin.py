@@ -5,11 +5,10 @@ is the most significant of the n bits, so ``format_bits(v, n)`` prints the
 vector the way a generator matrix row is written.  Matrices are lists of
 row ints plus an explicit width.
 
-Weight distributions enumerate the smaller of a code and its dual,
-vectorised with numpy on uint64 words (``BinaryLinearCode`` rejects
-n > 64), and map a dual distribution back with the MacWilliams identity,
-so a generic [40,22] code costs a sweep of 2^18 words; the constructed
-codes of ``projection`` replace this with a closed form.
+A weight distribution enumerates all 2^k codewords, vectorised with
+numpy on uint64 words (``BinaryLinearCode`` rejects n > 64), and refuses
+k > 26; the constructed codes of ``projection`` use a closed form
+instead, so the codes enumerated are the quaternary codes' images.
 A syndrome is one lookup per byte of the word, in tables spanned by that
 byte's unit syndromes: five bytes for n <= 40, eight for longer codes.
 ``CosetTable`` implements syndrome decoding by stored coset leaders for
@@ -19,7 +18,7 @@ every error of weight <= 3, and is the ground-truth decoder of the tests,
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +41,10 @@ def parse_bits(text: str) -> tuple[int, int]:
 
 
 def format_bits(v: int, n: int, group: int = 0) -> str:
-    """Format ``v`` as an n-character 0/1 string, optionally space-grouped."""
+    """Format a word in 0..2^n - 1 as an n-character 0/1 string, optionally
+    space-grouped; ValueError outside that range."""
+    if v >> n:
+        raise ValueError(f"word does not fit in {n} bits")
     s = format(v, f"0{n}b")
     if group:
         s = " ".join(s[i:i + group] for i in range(0, n, group))
@@ -52,7 +54,8 @@ def format_bits(v: int, n: int, group: int = 0) -> str:
 def matrix_rows(text: str, parse_row: Callable) -> tuple[list, int]:
     """Read a matrix: one row per line, which ``parse_row`` turns into
     (row, length); blank lines and lines starting with ``#`` are skipped.
-    Returns (rows, n); ValueError for no rows or a row of another length.
+    Returns (rows, n); ValueError for no rows, or naming the line of a row
+    of another length or one that ``parse_row`` rejects.
     """
     rows = []
     n = None
@@ -60,7 +63,10 @@ def matrix_rows(text: str, parse_row: Callable) -> tuple[list, int]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row, width = parse_row(stripped)
+        try:
+            row, width = parse_row(stripped)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:
             n = width
         elif width != n:
@@ -83,14 +89,13 @@ def format_matrix(rows: Iterable[int], n: int, group: int) -> str:
 # ---------------------------------------------------------------------------
 # GF(2) elimination
 
-def _rref_pivots(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+def rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Reduced row echelon form over GF(2): (nonzero reduced rows, rank).
 
-    Pivot columns are 0-based from the left (column c is bit n-1-c).
+    The rows come in pivot order, and row i's leading bit is its pivot.
     """
     work = [r for r in rows]
     reduced: list[int] = []
-    pivots: list[int] = []
     for col in range(n):
         bit = 1 << (n - 1 - col)
         src = next((i for i, r in enumerate(work) if r & bit), None)
@@ -100,16 +105,9 @@ def _rref_pivots(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
         work = [r ^ piv if r & bit else r for r in work]
         reduced = [r ^ piv if r & bit else r for r in reduced]
         reduced.append(piv)
-        pivots.append(col)
         if not work:
             break
-    return reduced, pivots
-
-
-def rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
-    """Reduced row echelon form over GF(2): (reduced rows, rank)."""
-    reduced, pivots = _rref_pivots(rows, n)
-    return reduced, len(pivots)
+    return reduced, len(reduced)
 
 
 def rank(rows: Sequence[int], n: int) -> int:
@@ -122,7 +120,7 @@ def orthogonal(rows: Iterable[int], checks: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bulk enumeration helpers
+# spans
 
 def xor_span(rows: Sequence[int]) -> np.ndarray:
     """All 2^len(rows) XOR combinations as a uint64 array (doubling)."""
@@ -130,55 +128,6 @@ def xor_span(rows: Sequence[int]) -> np.ndarray:
     for r in rows:
         table = np.concatenate([table, table ^ np.uint64(r)])
     return table
-
-
-def iter_span_chunks(rows: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield the full XOR span of ``rows`` in uint64 chunks.
-
-    The low _CHUNK_ROWS rows form a base table; one chunk per combination
-    of the remaining rows.  Every combination appears exactly once.
-    """
-    base = xor_span(rows[:_CHUNK_ROWS])
-    high = rows[_CHUNK_ROWS:]
-    if not high:
-        yield base
-        return
-    for hv in xor_span(high):
-        yield base ^ hv
-
-
-def span_distribution(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """(A_0, ..., A_n) of the span of independent ``rows``, no word of
-    which weighs more than n, by enumerating all 2^len(rows) words."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for chunk in iter_span_chunks(rows):
-        counts += np.bincount(np.bitwise_count(chunk), minlength=n + 1)
-    return tuple(int(c) for c in counts)
-
-
-def _macwilliams(dual_dist: Sequence[int], r: int) -> tuple[int, ...]:
-    """The distribution of a code from that of its dual of dimension r:
-    A_j = 2^-r sum_i B_i K_j(i), in exact ints.  The Krawtchouk values
-    follow (j + 1) K_{j+1}(i) = (n - 2i) K_j(i) - (n - j + 1) K_{j-1}(i)
-    from K_0 = 1, K_{-1} = 0."""
-    n = len(dual_dist) - 1
-    sums = [0] * (n + 1)
-    for i, b in enumerate(dual_dist):
-        if not b:
-            continue
-        prev, cur = 0, 1
-        for j in range(n + 1):
-            sums[j] += b * cur
-            prev, cur = cur, ((n - 2 * i) * cur
-                              - (n - j + 1) * prev) // (j + 1)
-    dist = []
-    for j, total in enumerate(sums):
-        a, rem = divmod(total, 1 << r)
-        if rem:
-            raise ValueError(f"MacWilliams sum for A_{j} is not divisible "
-                             f"by 2^{r}")
-        dist.append(a)
-    return tuple(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +162,12 @@ class BinaryLinearCode:
         for row in self.generator + (given or ()):
             if row >> n:
                 raise ValueError(f"row {row:#b} does not fit in {n} bits")
-        reduced, pivots = _rref_pivots(self.generator, n)
-        if len(pivots) != self.k:
+        reduced, found = rref(self.generator, n)
+        if found != self.k:
             raise ValueError(
-                f"generator rows are dependent: rank {len(pivots)} < {self.k}")
+                f"generator rows are dependent: rank {found} < {self.k}")
         self._reduced = reduced
-        self._pivots = pivots
+        self._pivots = [n - r.bit_length() for r in reduced]
         if given is not None:
             if len(given) != n - self.k or rank(given, n) != len(given):
                 raise ValueError(f"parity rows are not {n - self.k} "
@@ -284,19 +233,19 @@ class BinaryLinearCode:
     # -- weight distribution -----------------------------------------------
 
     def weight_distribution(self) -> tuple[int, ...]:
-        """(A_0, ..., A_n), enumerating the smaller of the code and its dual.
-
-        ``parity_rows`` are a basis of the dual.  When the dual is smaller
-        (n - k < k) its distribution is mapped back with the MacWilliams
-        identity; the enumeration budget applies to the side enumerated."""
-        r = self.n - self.k
-        dim = min(self.k, r)
-        if dim > _MAX_ENUM_K:
-            raise ValueError(f"min(k, n-k) = {dim} exceeds enumeration "
-                             f"budget {_MAX_ENUM_K}")
-        if r < self.k:
-            return _macwilliams(span_distribution(self.parity_rows, self.n), r)
-        return span_distribution(self.generator, self.n)
+        """(A_0, ..., A_n) by enumerating all 2^k codewords, 2^16 at a
+        time: the span of the low 16 rows, XORed with each word of the
+        span of the rest.  ValueError for k above the budget of 26."""
+        if self.k > _MAX_ENUM_K:
+            raise ValueError(f"k = {self.k} exceeds enumeration budget "
+                             f"{_MAX_ENUM_K}")
+        rows = self.generator
+        base = xor_span(rows[:_CHUNK_ROWS])
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for high in xor_span(rows[_CHUNK_ROWS:]):
+            counts += np.bincount(np.bitwise_count(base ^ high),
+                                  minlength=self.n + 1)
+        return tuple(int(c) for c in counts)
 
     def min_distance(self) -> int:
         """The least nonzero weight; ValueError for a code with no nonzero

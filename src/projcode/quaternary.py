@@ -29,6 +29,14 @@ PHI_BLOCKS = (0b000, 0b011, 0b101, 0b110)
 _PAIRS = tuple((a, b) for a in gf4.ELEMENTS for b in gf4.ELEMENTS)
 
 
+def _check_symbols(rows: Iterable[Sequence[int]]) -> None:
+    """ValueError naming the first symbol that is not an int in 0..3."""
+    for row in rows:
+        for a in row:
+            if type(a) is not int or a not in gf4.ELEMENTS:
+                raise ValueError(f"not a GF(4) symbol: {a!r}")
+
+
 class QuaternaryCode:
     """A GF(4)-linear [m, k] code with a 4-row parity check."""
 
@@ -36,10 +44,7 @@ class QuaternaryCode:
                  parity_check: Sequence[GF4Vector]):
         if len(parity_check) != 4:
             raise ValueError("expected a 4-row parity check")
-        bad = [a for row in (*basis, *parity_check) for a in row
-               if type(a) is not int or a not in gf4.ELEMENTS]
-        if bad:
-            raise ValueError(f"not a GF(4) symbol: {bad[0]!r}")
+        _check_symbols((*basis, *parity_check))
         self.name = name
         self.generators = tuple(row for b in basis
                                 for row in (tuple(b), gf4.scale(gf4.OMEGA, b)))
@@ -92,9 +97,12 @@ class QuaternaryCode:
 
     def syndrome(self, y: Sequence[int]) -> int:
         """y H^T with the plain product, packed: the independent reference
-        for ``colmul`` and the tables built from it."""
+        for ``colmul`` and the tables built from it.  ValueError for a
+        vector of another length or with a symbol that is not an int in
+        0..3."""
         if len(y) != self.m:
             raise ValueError(f"expected length {self.m}, got {len(y)}")
+        _check_symbols((y,))
         return gf4.pack([gf4.plain_inner(y, h) for h in self.parity_check])
 
     def __contains__(self, y: Sequence[int]) -> bool:

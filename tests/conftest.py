@@ -3,13 +3,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projcode
-from projcode.bitlin import BinaryLinearCode, iter_span_chunks, rank
+from projcode.bitlin import BinaryLinearCode, rank, xor_span
 from projcode.decoder import DecoderContext
 from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
                                  projection_checks)
@@ -124,6 +125,22 @@ def minority_columns(profile: ParityProfile) -> tuple[int, ...]:
                  if par != majority)
 
 
+def span_chunks(rows: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every word of the span of ``rows``, once, in uint64 chunks: the
+    span of the low 16 rows XORed with each word of the span of the rest."""
+    base = xor_span(rows[:16])
+    for high in xor_span(rows[16:]):
+        yield base ^ high
+
+
+def enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
+    """(A_0, ..., A_n) by counting the weights of all 2^k codewords."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for chunk in span_chunks(code.generator):
+        counts += np.bincount(np.bitwise_count(chunk), minlength=code.n + 1)
+    return tuple(int(c) for c in counts)
+
+
 def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
                               variant: Variant) -> bool:
     """``has_projection`` by brute force: every one of the 2^k codewords
@@ -137,7 +154,7 @@ def enumerated_has_projection(code: BinaryLinearCode, c4: QuaternaryCode,
     first_mask = np.uint64(int("1000" * m, 2))
     synd_masks = [np.uint64(mask)
                   for mask in projection_checks(c4, variant)[:8]]
-    for chunk in iter_span_chunks(code.generator):
+    for chunk in span_chunks(code.generator):
         t = chunk ^ (chunk >> np.uint64(2))
         colpar = (t ^ (t >> one)) & col_mask
         odd = colpar == col_mask

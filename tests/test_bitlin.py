@@ -4,16 +4,15 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from projcode import bitlin
 from projcode.bitlin import BinaryLinearCode, CosetTable
-from projcode.quaternary import QuaternaryCode
+from projcode.quaternary import QuaternaryCode, parse_gf4_matrix
 
-from conftest import code_equal
+from conftest import code_equal, enumerated_distribution
 
 
 def _repetition4():
@@ -53,6 +52,10 @@ def test_parse_format_bits():
         bitlin.parse_bits("01x0")
     with pytest.raises(ValueError):
         bitlin.parse_bits("   ")
+    assert bitlin.format_bits(15, 4) == "1111"
+    for v in (16, 255, -1):
+        with pytest.raises(ValueError, match="word does not fit in 4 bits"):
+            bitlin.format_bits(v, 4)
 
 
 def test_parse_matrix_skips_comments_and_blanks():
@@ -72,6 +75,12 @@ def test_matrix_rows_names_the_ragged_line():
         bitlin.matrix_rows("ab\n\nc\n", parse_row)
     with pytest.raises(ValueError, match="no matrix rows found"):
         bitlin.matrix_rows("# h\n\n", parse_row)
+    # a symbol the row parser rejects is named with its line too
+    with pytest.raises(ValueError, match="line 2: not a binary digit: 'x'"):
+        bitlin.parse_matrix("0101\n01x1\n")
+    with pytest.raises(ValueError,
+                       match=r"line 2: not a GF\(4\) symbol: 'q'"):
+        parse_gf4_matrix("0 1 w\n0 1 q\n")
 
 
 def test_matrix_round_trip():
@@ -182,17 +191,9 @@ def test_weight_distribution_small_codes():
     assert BinaryLinearCode([0b0010, 0b1100], 4).min_distance() == 1
 
 
-def _enumerated_distribution(code: BinaryLinearCode) -> tuple[int, ...]:
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for chunk in bitlin.iter_span_chunks(code.generator):
-        counts += np.bincount(np.bitwise_count(chunk), minlength=code.n + 1)
-    return tuple(int(c) for c in counts)
-
-
 def test_weight_distribution_matches_enumeration(contexts):
     # the four codes take the closed form of ``projection``; their plain
-    # copies and Hamming [7,4] take the dual route, [7,3] and [4,1] are
-    # enumerated themselves
+    # copies, both Hamming codes and [4,1] are enumerated
     hamming = _hamming7()
     codes = [ctx.binary_code for ctx in contexts.values()]
     codes += [BinaryLinearCode(code.generator, code.n, code.parity_rows)
@@ -200,24 +201,19 @@ def test_weight_distribution_matches_enumeration(contexts):
     codes += [hamming, BinaryLinearCode(hamming.parity_rows, 7),
               _repetition4()]
     for code in codes:
-        assert code.weight_distribution() == _enumerated_distribution(code)
-
-
-def test_macwilliams_rejects_an_inconsistent_dual():
-    # one word cannot be the dual of dimension 1: 2 does not divide A_0 = 1
-    with pytest.raises(ValueError, match="not divisible"):
-        bitlin._macwilliams((1, 0, 0), 1)
+        assert code.weight_distribution() == enumerated_distribution(code)
 
 
 def test_weight_distribution_budget():
-    # the [30,30] code's dual is {0}, so MacWilliams gives the binomials
-    full = BinaryLinearCode([1 << i for i in range(30)], 30)
-    assert full.weight_distribution() == tuple(math.comb(30, j)
-                                               for j in range(31))
-    # [60,30]: both the code and its dual exceed the budget
-    big = BinaryLinearCode([1 << i for i in range(30)], 60)
-    with pytest.raises(ValueError, match=r"min\(k, n-k\) = 30"):
-        big.weight_distribution()
+    # the full [26,26] space is the largest enumerated: the binomials
+    full = BinaryLinearCode([1 << i for i in range(26)], 26)
+    assert full.weight_distribution() == tuple(math.comb(26, j)
+                                               for j in range(27))
+    # [27,27] exceeds the budget though its dual is {0}; so does [60,30]
+    for k, n in ((27, 27), (30, 60)):
+        big = BinaryLinearCode([1 << i for i in range(k)], n)
+        with pytest.raises(ValueError, match=f"k = {k} exceeds"):
+            big.weight_distribution()
 
 
 def test_code_equal_permuted_generators():

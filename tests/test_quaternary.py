@@ -77,6 +77,13 @@ def test_syndrome_of_worked_example_projections(q9, q10):
 def test_syndrome_rejects_wrong_length(q9):
     with pytest.raises(ValueError):
         q9.syndrome((0,) * 8)
+    # and a symbol that is not an int in 0..3, with the constructor's text
+    for bad in (-1, 5, 1.0, True):
+        with pytest.raises(ValueError,
+                           match=rf"^not a GF\(4\) symbol: {bad!r}$"):
+            q9.syndrome((bad,) * 9)
+        with pytest.raises(ValueError, match="not a GF"):
+            (bad,) * 9 in q9
 
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
