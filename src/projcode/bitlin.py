@@ -11,6 +11,9 @@ k > 26; the constructed codes of ``projection`` use a closed form
 instead, so the codes enumerated are the quaternary codes' images.
 A syndrome is one lookup per byte of the word, in tables spanned by that
 byte's unit syndromes: five bytes for n <= 40, eight for longer codes.
+``syndrome`` is the one general read; ``in`` and ``CosetTable.decode``,
+which run once per checked word, do the five-table read in their own
+frame, with no nested call, and call ``syndrome`` past 40 bits.
 ``CosetTable`` implements syndrome decoding by stored coset leaders for
 every error of weight <= 3, and is the ground-truth decoder of the tests,
 ``exhaust`` and ``decode --oracle``.
@@ -45,7 +48,7 @@ def format_bits(v: int, n: int, group: int = 0) -> str:
     space-grouped; ValueError outside that range."""
     if v >> n:
         raise ValueError(f"word does not fit in {n} bits")
-    s = format(v, f"0{n}b")
+    s = format(v, f"0{n}b") if n else ""
     if group:
         s = " ".join(s[i:i + group] for i in range(0, n, group))
     return s
@@ -225,10 +228,17 @@ class BinaryLinearCode:
                 ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
 
     def __contains__(self, word: int) -> bool:
-        try:
-            return self.syndrome(word) == 0
-        except ValueError:      # not a word of length n
+        # the five-table read of ``syndrome``, in place: the decoder's
+        # membership guard runs once per decoded word
+        n = self.n
+        if word >> n:           # not a word of length n
             return False
+        tables = self._synd_tables
+        if tables is None or n > 40:
+            return not self.syndrome(word)
+        t0, t1, t2, t3, t4 = tables
+        b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
+        return not t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
 
     # -- weight distribution -----------------------------------------------
 
@@ -286,12 +296,23 @@ class CosetTable:
                 for s3, e3 in units[j:]:
                     add(s2 ^ s3, e2 | e3)
         self.leaders = leaders
+        self._n = code.n
+        # the code's five byte tables, built by the unit syndromes above,
+        # for ``decode`` to read in place; None past 40 bits
+        self._tables = code._synd_tables if code.n <= 40 else None
 
     def decode(self, word: int) -> int | None:
         """Nearest codeword by coset leader, or None if the syndrome is
         outside the table (word further than 3 from the code).
         A word outside 0..2^n - 1 raises ValueError."""
-        leader = self.leaders.get(self.code.syndrome(word))
+        tables = self._tables
+        if word >> self._n or tables is None:
+            synd = self.code.syndrome(word)
+        else:
+            t0, t1, t2, t3, t4 = tables
+            b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
+            synd = t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
+        leader = self.leaders.get(synd)
         if leader is None:
             return None
         return word ^ leader

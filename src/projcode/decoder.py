@@ -13,10 +13,11 @@ observed first-row parity XOR rho is the number of first-row errors mod 2.
 The decoder first counts the odd columns y with one popcount and, by one
 bit test on y, refuses p = min(y, m - y) > 3 or a tie, with no syndrome
 read.  Any other word reads one syndrome, the code's own over
-``projection_checks``.  Its bits 8 to m + 6, the parities of adjacent
-column pairs, give the parity pattern up to complement, so they index
-the context's entry for M; its top bit is delta, flipped for O when
-column 1 is a minority column.
+``projection_checks``, from the code's byte tables in the frame of
+``DecoderContext.syndrome_packed``.  Its bits 8 to m + 6, the parities
+of adjacent column pairs, give the parity pattern up to complement, so
+they index the context's entry for M; its top bit is delta, flipped for
+O when column 1 is a minority column.
 
 The error in column c projects to a coefficient e_c, and the syndrome's
 low byte, that of the projected word, is s = sum of e_c H_c.  One rule
@@ -57,20 +58,23 @@ decodes every case:
   p=3: d.i - d.iv   0 - 3 minority columns with a nonzero coefficient
 
 Refused besides the parity refusal: an unsolvable syndrome.  A decoded
-word must also pass the code's membership check.
+word must also pass the code's membership check.  A success is a
+``DecodeOutcome``, a tuple built with no Python frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
+from operator import itemgetter
 
 from . import gf4
 from .bitlin import BinaryLinearCode
 from .projection import (NIBBLE_VALUE, ParityProfile, Variant, construct,
                          parity_profile, select_candidate)
 from .quaternary import QuaternaryCode
+
+_new_tuple = tuple.__new__
 
 FAIL_PARITY = "parity-inconsistent"
 FAIL_UNCORRECTABLE = "uncorrectable"
@@ -89,33 +93,38 @@ class DecodeTrace:
     error_weight: int
 
 
-class DecodeOutcome:
-    """The read-only result of a decode.
+class DecodeOutcome(tuple):
+    """The read-only result of a decode: the tuple (ok, codeword, error,
+    reason, raw).
 
     A successful ``decode`` keeps in ``raw`` the values it computed and
     builds ``trace`` from them on each read; refusals are shared objects,
-    one per reason, with ``trace`` None."""
+    one per reason, with ``trace`` None.  ``decode`` builds a success with
+    ``tuple.__new__``, so no Python frame runs."""
 
-    __slots__ = ("_ok", "_codeword", "_error", "_reason", "_raw")
+    __slots__ = ()
 
-    def __init__(self, ok: bool, codeword: int | None = None,
-                 error: int | None = None, reason: str | None = None,
-                 raw: tuple | None = None):
-        self._ok, self._codeword, self._error = ok, codeword, error
-        self._reason, self._raw = reason, raw
+    def __new__(cls, ok: bool, codeword: int | None = None,
+                error: int | None = None, reason: str | None = None,
+                raw: tuple | None = None):
+        return _new_tuple(cls, (ok, codeword, error, reason, raw))
 
-    ok = property(attrgetter("_ok"))
-    codeword = property(attrgetter("_codeword"))
-    error = property(attrgetter("_error"))
-    reason = property(attrgetter("_reason"))
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy call __new__ with the five fields, not the tuple
+        return tuple(self)
+
+    ok = property(itemgetter(0))
+    codeword = property(itemgetter(1))
+    error = property(itemgetter(2))
+    reason = property(itemgetter(3))
 
     @property
     def trace(self) -> DecodeTrace | None:
         """How the decode arrived at its answer; None for a refusal."""
-        if self._raw is None:
+        _, codeword, error, _, raw = self
+        if raw is None:
             return None
-        return _build_trace(self._codeword ^ self._error, self._error,
-                            *self._raw)
+        return _build_trace(codeword ^ error, error, *raw)
 
     def _fields(self) -> tuple:
         return (self.ok, self.codeword, self.error, self.trace, self.reason)
@@ -127,6 +136,11 @@ class DecodeOutcome:
 
     def __hash__(self):
         return hash(self._fields())
+
+    # != inverts __eq__, and outcomes have no order, as for any object:
+    # the tuple's own comparisons would read ``raw``
+    __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
+    __gt__, __ge__ = object.__gt__, object.__ge__
 
     def __repr__(self) -> str:
         return ("DecodeOutcome(ok={!r}, codeword={!r}, error={!r}, "
@@ -174,6 +188,11 @@ class DecoderContext:
         m = c4.m
         self.m = m
         self.n = 4 * m
+        # the code's five byte tables, built by its first syndrome, for
+        # ``syndrome_packed`` to read in place; None past 40 bits
+        self.binary_code.syndrome(0)
+        self._synd_tables = (self.binary_code._synd_tables if self.n <= 40
+                             else None)
         self.col_parity_mask = int("0001" * m, 2)
         self._first_row_bit = self.n - self.binary_code.k - 1
         # bit y is set when y odd columns leave p > 3 minority columns or
@@ -229,8 +248,15 @@ class DecoderContext:
                     m, p, flip, minority, search, table, odd_a, odd_b, last)
 
     def syndrome_packed(self, word: int) -> int:
-        """The code's syndrome; its low byte is the projection's."""
-        return self.binary_code.syndrome(word)
+        """The code's syndrome; its low byte is the projection's.  Read
+        here from the code's five byte tables, with no nested call, when
+        n <= 40; ValueError for a word outside 0..2^n - 1."""
+        tables = self._synd_tables
+        if word >> self.n or tables is None:
+            return self.binary_code.syndrome(word)
+        t0, t1, t2, t3, t4 = tables
+        b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
+        return t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
 
 
 def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
@@ -277,6 +303,7 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
         diff ^= last
 
     decoded = received ^ diff
-    if diff.bit_count() > 3 or decoded not in ctx.binary_code:
+    # a direct method call: ``in`` would enter through the C slot wrapper
+    if diff.bit_count() > 3 or not ctx.binary_code.__contains__(decoded):
         return _REFUSED_UNCORRECTABLE
-    return DecodeOutcome(True, decoded, diff, None, (info, s8))
+    return _new_tuple(DecodeOutcome, (True, decoded, diff, None, (info, s8)))

@@ -69,6 +69,13 @@ def code_equal(a: BinaryLinearCode, b: BinaryLinearCode) -> bool:
     return rank(list(a.generator) + list(b.generator), a.n) == a.k
 
 
+def check_parities(code: BinaryLinearCode, word: int) -> int:
+    """The syndrome by definition: bit j is the parity of check row j
+    over the word."""
+    return sum(((word & h).bit_count() & 1) << j
+               for j, h in enumerate(code.parity_rows))
+
+
 def make_context(code_id: str) -> DecoderContext:
     base = c4_9() if code_id.endswith("36") else c4_10()
     variant = Variant.O if code_id.startswith("o") else Variant.E

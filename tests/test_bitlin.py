@@ -12,7 +12,7 @@ from projcode import bitlin
 from projcode.bitlin import BinaryLinearCode, CosetTable
 from projcode.quaternary import QuaternaryCode, parse_gf4_matrix
 
-from conftest import code_equal, enumerated_distribution
+from conftest import check_parities, code_equal, enumerated_distribution
 
 
 def _repetition4():
@@ -36,13 +36,6 @@ def _hamming8():
                              for r in _hamming7().generator], 8)
 
 
-def _parities(code, word):
-    """The syndrome by definition: bit j is the parity of check row j
-    over the word."""
-    return sum(((word & h).bit_count() & 1) << j
-               for j, h in enumerate(code.parity_rows))
-
-
 def test_parse_format_bits():
     v, n = bitlin.parse_bits("0010 1110")
     assert (v, n) == (0b00101110, 8)
@@ -56,6 +49,14 @@ def test_parse_format_bits():
     for v in (16, 255, -1):
         with pytest.raises(ValueError, match="word does not fit in 4 bits"):
             bitlin.format_bits(v, 4)
+
+
+def test_format_bits_of_the_empty_word():
+    # n = 0 has one word, 0, of no characters, grouped or not
+    assert bitlin.format_bits(0, 0) == ""
+    assert bitlin.format_bits(0, 0, group=4) == ""
+    with pytest.raises(ValueError, match="word does not fit in 0 bits"):
+        bitlin.format_bits(1, 0)
 
 
 def test_parse_matrix_skips_comments_and_blanks():
@@ -245,7 +246,7 @@ def _reference_leaders(code):
     for w in range(4):
         for positions in itertools.combinations(range(1, n + 1), w):
             e = sum(1 << (n - c) for c in positions)
-            s = _parities(code, e)
+            s = check_parities(code, e)
             best[s] = min(best.get(s, (w, positions)), (w, positions))
     return {s: sum(1 << (n - c) for c in positions)
             for s, (_, positions) in best.items()}
@@ -341,22 +342,48 @@ def test_min_distance_needs_a_nonzero_codeword(q9):
             code.min_distance()
 
 
-@pytest.mark.parametrize("n", (36, 40, 41, 64))
-def test_syndrome_tables_on_dense_codes(n):
-    # dense random codes and words that set every byte, which tell XOR
-    # from OR in each of the five or eight table lookups
+def _dense_code(n: int) -> tuple[BinaryLinearCode, list[int]]:
+    """A fresh dense random [n, n // 2] code, and words that set every
+    byte, which tell XOR from OR in each of the five or eight table
+    lookups, then random words."""
     rng = random.Random(n)
     k = n // 2
     rows = [rng.getrandbits(n) for _ in range(k)]
     while bitlin.rank(rows, n) < k:
         rows = [rng.getrandbits(n) for _ in range(k)]
-    code = BinaryLinearCode(rows, n)
     ones = (1 << n) - 1
     alternate = int.from_bytes(b"\xff\x00" * 4, "little") & ones
     words = [ones, alternate, alternate ^ ones] \
         + [rng.getrandbits(n) for _ in range(200)]
+    return BinaryLinearCode(rows, n), words
+
+
+@pytest.mark.parametrize("n", (36, 40, 41, 64))
+def test_syndrome_tables_on_dense_codes(n):
+    code, words = _dense_code(n)
     for word in words:
-        assert code.syndrome(word) == _parities(code, word)
+        assert code.syndrome(word) == check_parities(code, word)
+
+
+@pytest.mark.parametrize("n", (36, 40, 41, 64))
+def test_in_place_reads_match_the_syndrome(n):
+    # ``in`` and ``CosetTable.decode`` read the five byte tables in their
+    # own frame for n <= 40 and call ``syndrome`` for eight; on a fresh
+    # code the first ``in`` builds the tables through ``syndrome``
+    code, words = _dense_code(n)
+    rng = random.Random(-n)
+    codewords = [code.encode(rng.getrandbits(code.k)) for _ in range(50)]
+    for first in (codewords[0], words[0]):
+        fresh, _ = _dense_code(n)
+        assert (first in fresh) is (check_parities(fresh, first) == 0)
+    table = CosetTable(code)
+    leaders = list(table.leaders.values())
+    near = [c ^ rng.choice(leaders) for c in codewords]
+    for word in words + codewords + near:
+        assert (word in code) is (check_parities(code, word) == 0)
+        leader = table.leaders.get(check_parities(code, word))
+        assert table.decode(word) == (None if leader is None
+                                      else word ^ leader)
 
 
 @given(st.data())
@@ -366,7 +393,7 @@ def test_syndrome_bits_are_check_row_parities(data):
     n = data.draw(st.sampled_from((4, 36, 40, 41, 64)))
     code = BinaryLinearCode([(1 << n) - 1], n)
     word = data.draw(st.integers(0, (1 << n) - 1))
-    assert code.syndrome(word) == _parities(code, word)
+    assert code.syndrome(word) == check_parities(code, word)
 
 
 def test_coset_table_weight3_syndromes_distinct(contexts):

@@ -1,23 +1,27 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
+import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from projcode import DecodeOutcome, gf4
-from projcode.bitlin import CosetTable
+from projcode.bitlin import BinaryLinearCode, CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
-                              decode)
-from projcode.projection import project, select_candidate
+                              DecoderContext, decode)
+from projcode.projection import Variant, project, select_candidate
+from projcode.quaternary import QuaternaryCode
 
-from conftest import (BINARY_IDS, BRANCH_ERRORS, make_context,
-                      minority_columns, plant, reference_parity_profile,
-                      word_from_rows)
+from conftest import (BINARY_IDS, BRANCH_ERRORS, check_parities,
+                      make_context, minority_columns, plant,
+                      reference_parity_profile, word_from_rows)
 from golden import DECODE_EXAMPLES
 
 
@@ -156,6 +160,98 @@ def test_oversized_word_rejected(contexts):
     for word in (1 << 36, 1 << 36 | refused, -1):
         with pytest.raises(ValueError):
             decode(ctx, word)
+
+
+# ---------------------------------------------------------------------------
+# the syndrome read in place
+
+def _systematic_c4(m: int) -> QuaternaryCode:
+    """An [m, m - 4] GF(4) code with H = [I | A] for a random A with no
+    zero entry and basis rows [A^T | I]; the syndrome reads need no cap."""
+    rng = random.Random(m)
+    a = [[rng.randrange(1, 4) for _ in range(m - 4)] for _ in range(4)]
+    h = [[int(r == c) for c in range(4)] + a[r] for r in range(4)]
+    basis = [[a[r][i] for r in range(4)]
+             + [int(j == i) for j in range(m - 4)] for i in range(m - 4)]
+    return QuaternaryCode(f"systematic-{m}", basis, h)
+
+
+@pytest.mark.parametrize("code_id", BINARY_IDS + ("m11", "m16"))
+def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
+    # five tables read in place for the four codes; n = 44 and 64 call
+    # ``syndrome``, which reads eight
+    if code_id in contexts:
+        ctx = contexts[code_id]
+    else:
+        ctx = DecoderContext(_systematic_c4(int(code_id[1:])), Variant.O)
+    code = ctx.binary_code
+    rng = random.Random(ctx.n)
+    ones = (1 << ctx.n) - 1
+    words = [0, ones, int.from_bytes(b"\xff\x00" * 4, "little") & ones] \
+        + [rng.getrandbits(ctx.n) for _ in range(300)]
+    for word in words:
+        assert ctx.syndrome_packed(word) == code.syndrome(word) \
+            == check_parities(code, word)
+
+
+@pytest.mark.parametrize("code_id, bits", [
+    ("o36", (36, 37, 39, 40, 45)), ("e40", (40, 41, 45, 63, 64))])
+def test_in_place_reads_reject_words_outside_the_length(contexts, code_id,
+                                                         bits):
+    # bits 36..39 of a 36-bit word still fit the five bytes the tables
+    # read, so each site checks the range itself
+    ctx = contexts[code_id]
+    code = ctx.binary_code
+    table = CosetTable(code)
+    c = code.encode(12345)
+    for word in [1 << b | c for b in bits] + [1 << bits[0], -1, -c]:
+        assert word not in code
+        with pytest.raises(ValueError, match=f"{ctx.n} bits"):
+            ctx.syndrome_packed(word)
+        with pytest.raises(ValueError, match=f"{ctx.n} bits"):
+            table.decode(word)
+
+
+def test_decode_and_oracle_call_no_syndrome(contexts, monkeypatch):
+    # once the contexts and leader tables are built, neither decode nor
+    # the oracle calls ``syndrome``, and decode's guard runs once per
+    # decoded word
+    rng = random.Random(2021)
+    samples = []
+    for code_id in BINARY_IDS:
+        ctx = contexts[code_id]
+        code = ctx.binary_code
+        words = []
+        for _ in range(400):
+            word = code.encode(rng.getrandbits(code.k))
+            for b in range(ctx.n):
+                if rng.random() < 0.04:     # BSC(0.04)
+                    word ^= 1 << b
+            words.append(word)
+        samples.append((ctx, CosetTable(code).decode, words))
+    calls = Counter()
+    syndrome = BinaryLinearCode.syndrome
+    contains = BinaryLinearCode.__contains__
+
+    def counted_syndrome(code, word):
+        calls["syndrome"] += 1
+        return syndrome(code, word)
+
+    def counted_contains(code, word):
+        calls["in"] += 1
+        return contains(code, word)
+
+    monkeypatch.setattr(BinaryLinearCode, "syndrome", counted_syndrome)
+    monkeypatch.setattr(BinaryLinearCode, "__contains__", counted_contains)
+    decoded = Counter()
+    for ctx, oracle, words in samples:
+        for word in words:
+            out = decode(ctx, word)
+            assert (out.codeword if out.ok else None) == oracle(word)
+            decoded[out.ok] += 1
+    assert decoded[True] > 1000 and decoded[False] > 0
+    assert calls["syndrome"] == 0
+    assert calls["in"] == decoded[True]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +406,54 @@ def test_outcome_constructs_by_keyword():
     assert (out.ok, out.codeword, out.error, out.trace, out.reason) \
         == (False, None, None, None, FAIL_UNCORRECTABLE)
     assert out == DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
-    assert "reason='uncorrectable'" in repr(out)
+    assert repr(out) == ("DecodeOutcome(ok=False, codeword=None, error=None,"
+                         " trace=None, reason='uncorrectable')")
+
+
+def _three_outcomes(ctx):
+    """A success and the two shared refusals."""
+    return [decode(ctx, plant(ctx, 0, errors)) for errors in (
+        [(2, 0b0100), (5, 0b0010)],
+        [(i, 0b1000) for i in (1, 2, 3, 4)],
+        [(2, 0b0110), (5, 0b0110)])]
+
+
+def test_outcomes_round_trip_through_pickle_and_copy(contexts):
+    outcomes = _three_outcomes(contexts["o40"])
+    assert [out.reason for out in outcomes] \
+        == [None, FAIL_PARITY, FAIL_UNCORRECTABLE]
+    for out in outcomes:
+        for again in (pickle.loads(pickle.dumps(out)), copy.copy(out),
+                      copy.deepcopy(out)):
+            assert type(again) is DecodeOutcome
+            assert again == out and hash(again) == hash(out)
+            assert repr(again) == repr(out)
+
+
+def test_outcome_repr_and_hash_are_of_the_five_fields(contexts):
+    ctx = contexts["o40"]
+    out = _three_outcomes(ctx)[0]
+    fields = (out.ok, out.codeword, out.error, out.trace, out.reason)
+    assert fields[:3] == (True, 0, plant(ctx, 0, [(2, 0b0100), (5, 0b0010)]))
+    assert repr(out) == ("DecodeOutcome(ok=True, codeword=0, error={!r}, "
+                         "trace={!r}, reason=None)".format(*fields[2:4]))
+    assert hash(out) == hash(fields)
+    with pytest.raises(AttributeError):
+        out.note = "no new attribute either"
+
+
+def test_outcomes_compare_by_their_fields_only(contexts):
+    # an outcome whose ``raw`` keeps only what the trace reads equals the
+    # decoder's, and != agrees; outcomes have no order
+    out = _three_outcomes(contexts["e36"])[0]
+    info, s8 = out[4]
+    same = DecodeOutcome(True, out.codeword, out.error, None,
+                         (info[:4], s8))
+    assert same == out and not same != out and hash(same) == hash(out)
+    refused = _three_outcomes(contexts["e36"])[1]
+    assert out != refused and not out == refused
+    with pytest.raises(TypeError):
+        out < refused
 
 
 # ---------------------------------------------------------------------------
