@@ -143,9 +143,18 @@ def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
     as the range check in ``syndrome`` lets that byte be, and a byte past
     n, always 0, shares one ``[0]``.  There are five tables for n <= 40,
     which covers the constructed codes, and eight for longer words."""
-    units = [sum(((h >> q) & 1) << j for j, h in enumerate(parity_rows))
-             for q in range(n)]
-    tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
+    units = [0] * n
+    for j, h in enumerate(parity_rows):
+        while h:                        # one pass per set bit of the row
+            low = h & -h
+            units[low.bit_length() - 1] |= 1 << j
+            h ^= low
+    tables = []
+    for b in range(0, n, 8):
+        table = [0]
+        for u in units[b:b + 8]:        # the span so far, then its XOR with u
+            table = table + [s ^ u for s in table]
+        tables.append(table)
     return tables + [[0]] * ((5 if n <= 40 else 8) - len(tables))
 
 

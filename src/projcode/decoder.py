@@ -25,26 +25,23 @@ decodes every case:
 
 1. Solve s = sum of e_c H_c over M, plus at most one other column x when
    p <= 1 (two errors in one even column).  The solution is unique because
-   any three columns of H are independent.  When p is odd the first
-   minority coefficient is searched; the rest is one lookup, in the pair
-   table of the last two minority columns when p >= 2 and in the
-   single-column table when p <= 1.  That lookup skips a hit in the
-   minority column itself, as a shortcut only: the search tries e = 0
-   first, where such a hit's coefficient c gives the repairs 1000 and an
-   even nibble with first entry 0, which OR, with the owed first-row
-   flip, to the error that e = c finds; but a lone error in rows 2-4 of a
-   minority column, the most common error, would repair its column twice.
+   any three columns of H are independent, so it is one byte of the
+   quaternary code's solve table for M (``QuaternaryCode.solve_tables``),
+   and 255 there is a refusal.  A pair M reads the table of a triple
+   holding it, whose third column, a phantom of the entry, must take the
+   coefficient 0.
 2. Repair.  The error in each repaired column projects to e_c, is odd in
    a minority column and even in x, and has its first entry set only for
    a zero minority coefficient (a lone first-entry error); x's
-   coefficient, from the single-column table, is never 0.  The context
-   holds each column's errors shifted into place, so solving yields the
-   repair with no per-column loop: the search pairs each multiple with
-   its repair, and a table hit's coefficients pick theirs.  The last
-   repaired column takes the first-row flip still owed (delta XOR the
-   repairs' first bits), which swaps its error for the complement within
-   the column's coset.  A flip owed with no column to take it, or an
-   error of weight above 3, is a refusal.
+   coefficient is never 0.  The context holds each column's errors
+   shifted into place, so the byte's coefficients pick the repair with no
+   per-column loop: it ORs at most three of them.  A phantom's nonzero
+   coefficient picks four bits past the word, which the weight check
+   refuses.  The last repaired column takes the first-row flip still owed
+   (delta XOR the repairs' first bits, which ``_ZERO_PARITY`` reads from
+   the byte), which swaps its error for the complement within the
+   column's coset.  A flip owed with no column to take it, or an error of
+   weight above 3, is a refusal.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
@@ -76,6 +73,16 @@ from .quaternary import QuaternaryCode
 
 _new_tuple = tuple.__new__
 
+# a phantom column's repairs: four bits past any word (n <= 64) for a
+# nonzero coefficient, which the weight check refuses
+_PHANTOM = (0, *[0b1111 << 64] * 3)
+
+# the parity of the zero coefficients among the three of a solve-table
+# byte e1 << 4 | e2 << 2 | e3, whose top two bits are 0: the first-row
+# bits of their odd repairs, 1000 for e = 0 alone
+_ZERO_PARITY = bytes([z1 ^ z2 ^ z3 for z1 in (1, 0, 0, 0)
+                      for z2 in (1, 0, 0, 0) for z3 in (1, 0, 0, 0)] * 4)
+
 FAIL_PARITY = "parity-inconsistent"
 FAIL_UNCORRECTABLE = "uncorrectable"
 
@@ -95,22 +102,23 @@ class DecodeTrace:
 
 class DecodeOutcome(tuple):
     """The read-only result of a decode: the tuple (ok, codeword, error,
-    reason, raw).
+    reason, info, s8).
 
-    A successful ``decode`` keeps in ``raw`` the values it computed and
-    builds ``trace`` from them on each read; refusals are shared objects,
-    one per reason, with ``trace`` None.  ``decode`` builds a success with
-    ``tuple.__new__``, so no Python frame runs."""
+    A successful ``decode`` keeps in ``info`` and ``s8`` its minority-set
+    entry and the projected syndrome, and builds ``trace`` from them on
+    each read; refusals are shared objects, one per reason, with ``trace``
+    None.  ``decode`` builds a success with ``tuple.__new__``, so no
+    Python frame runs."""
 
     __slots__ = ()
 
     def __new__(cls, ok: bool, codeword: int | None = None,
                 error: int | None = None, reason: str | None = None,
-                raw: tuple | None = None):
-        return _new_tuple(cls, (ok, codeword, error, reason, raw))
+                info: tuple | None = None, s8: int | None = None):
+        return _new_tuple(cls, (ok, codeword, error, reason, info, s8))
 
     def __getnewargs__(self) -> tuple:
-        # pickle and copy call __new__ with the five fields, not the tuple
+        # pickle and copy call __new__ with the six fields, not the tuple
         return tuple(self)
 
     ok = property(itemgetter(0))
@@ -121,10 +129,10 @@ class DecodeOutcome(tuple):
     @property
     def trace(self) -> DecodeTrace | None:
         """How the decode arrived at its answer; None for a refusal."""
-        _, codeword, error, _, raw = self
-        if raw is None:
+        _, codeword, error, _, info, s8 = self
+        if info is None:
             return None
-        return _build_trace(codeword ^ error, error, *raw)
+        return _build_trace(codeword ^ error, error, info, s8)
 
     def _fields(self) -> tuple:
         return (self.ok, self.codeword, self.error, self.trace, self.reason)
@@ -138,7 +146,7 @@ class DecodeOutcome(tuple):
         return hash(self._fields())
 
     # != inverts __eq__, and outcomes have no order, as for any object:
-    # the tuple's own comparisons would read ``raw``
+    # the tuple's own comparisons would read ``info`` and ``s8``
     __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
     __gt__, __ge__ = object.__gt__, object.__ge__
 
@@ -200,52 +208,65 @@ class DecoderContext:
         self._refused_counts = sum(1 << y for y in range(m + 1)
                                    if min(y, m - y) > 3 or 2 * y == m)
         self._key_mask = (1 << m - 1) - 1
-        # Column c's repairs shifted into place, by coefficient e: the odd
-        # (minority) error projecting to e, with its first entry set only
-        # for e = 0, and the even one; and its 1111 for an owed flip.
+        # Column c's odd (minority) repairs shifted into place, by
+        # coefficient e: the error projecting to e, with its first entry set
+        # only for e = 0.  The even repairs of an extra column x and its
+        # 1111, which takes an owed flip, by 3 (x - 1) + ex as a solve-table
+        # byte numbers them, 0 for no x.
         self._odd_repair: list[tuple[int, ...]] = [()]
-        self._even_repair: list[tuple[int, ...]] = [()]
-        self._column_mask = [0]
-        # column c's (packed multiple, odd repair, its first bit) by e
-        searches = [()]
+        self._even_repair = [0]
+        self._even_mask = [0]
+        masks = [0]
         for c in range(1, m + 1):
             at = 4 * (m - c)
-            odd = tuple(select_candidate(e, 1, not e) << at
-                        for e in gf4.ELEMENTS)
-            self._odd_repair.append(odd)
-            self._even_repair.append(tuple(select_candidate(e, 0, 0) << at
-                                           for e in gf4.ELEMENTS))
-            self._column_mask.append(0b1111 << at)
-            searches.append(tuple((s, r, r >> at + 3)
-                                  for s, r in zip(c4.colmul[c], odd)))
+            masks.append(0b1111 << at)
+            self._odd_repair.append(tuple(select_candidate(e, 1, not e) << at
+                                          for e in gf4.ELEMENTS))
+            self._even_repair += [select_candidate(e, 0, 0) << at
+                                  for e in gf4.NONZERO]
+            self._even_mask += [masks[c]] * 3
         # What decode needs of each minority set M of at most three columns,
         # in the slot that the syndrome's adjacent-column-pair bits give:
         # bit j is the parity of columns j + 1 and j + 2, so M's slot is
         # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
         # with p > 3 or a tie stay empty; decode refuses those first.
-        # An entry is (m, p, flip, minority, search, table, odd_a, odd_b,
-        # last).  ``flip``, XORed into the syndrome's top bit, is 1 for O
-        # when column 1 is a minority column.  ``search`` is the first
-        # minority column's entry of ``searches`` when p is odd, shared by
-        # every entry with that first column, and ((0, 0, 0),) otherwise.
-        # ``table`` is the pair table of the last two minority columns when
-        # p >= 2, with ``odd_a`` and ``odd_b`` their odd repairs, else the
-        # single-column table.  ``last`` is the last minority column's 1111,
-        # 0 when p = 0.
+        # An entry is (m, p, flip, minority, table, a, b, c, last): M's
+        # solve table, shared by the O and E contexts, and the repairs its
+        # byte picks.  When p >= 2, a, b and c are the odd repairs of the
+        # table's three columns, a pair's phantom taking ``_PHANTOM``; when
+        # p <= 1, a and b are ``_even_repair`` and ``_even_mask`` and c is
+        # the minority column's odd repairs, or (0,) when p = 0.  ``flip``,
+        # XORed into the syndrome's top bit, is 1 for O when column 1 is a
+        # minority column, toggled for even p, where ``_ZERO_PARITY`` counts
+        # a zero in the slot of no minority column.  ``last`` is the last
+        # minority column's 1111, 0 when p = 0.
+        solve = c4.solve_tables()
+        odd, bits = self._odd_repair, [0] + [1 << c for c in range(m)]
         self._profiles: list[tuple | None] = [None] * (1 << m - 1)
-        for p in range(4):
-            for minority in combinations(range(1, m + 1), p):
-                search, table, odd_a, odd_b = ((0, 0, 0),), c4.single, (), ()
-                if p & 1:
-                    search = searches[minority[0]]
-                if p >= 2:
-                    table = c4.pair_table(*minority[-2:])
-                    odd_a, odd_b = (self._odd_repair[c] for c in minority[-2:])
-                last = self._column_mask[minority[-1]] if p else 0
-                flip = int(variant is Variant.O and 1 in minority)
-                pattern = sum(1 << c - 1 for c in minority)
-                self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
-                    m, p, flip, minority, search, table, odd_a, odd_b, last)
+        # the sets of 0, 1 and 3 columns are the solve tables' keys, shared
+        # by the O and E contexts
+        for minority in [*solve, *combinations(range(1, m + 1), 2)]:
+            p = len(minority)
+            if 2 * p >= m:      # a tie, or the complement is the minority
+                continue
+            columns = minority
+            if p == 2:          # the triple with the least other column
+                third = min({1, 2, 3}.difference(minority))
+                columns = tuple(sorted((*minority, third)))
+            table = solve[columns]
+            if p == 3:
+                a, b, c = map(odd.__getitem__, columns)
+            elif p == 2:
+                a, b, c = [_PHANTOM if col == third else odd[col]
+                           for col in columns]
+            else:
+                a, b = self._even_repair, self._even_mask
+                c = odd[minority[0]] if p else (0,)
+            last = masks[minority[-1]] if p else 0
+            flip = int(variant is Variant.O and 1 in minority) ^ (not p & 1)
+            pattern = sum(map(bits.__getitem__, minority))
+            self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
+                m, p, flip, minority, table, a, b, c, last)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's.  Read
@@ -270,34 +291,23 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
     info = ctx._profiles[synd >> 8 & ctx._key_mask]
-    m, p, flip, minority, search, table, odd_a, odd_b, last = info
+    _, p, flip, _, table, a, b, c, last = info
     s8 = synd & 255
-    owed = synd >> ctx._first_row_bit ^ flip
 
-    # 1. solve, and 2. repair: each coefficient found ORs in its column's
-    #    repair, and each repair's first bit toggles the flip owed
-    for shift, diff, first in search:
-        rest = s8 ^ shift
-        if p >= 2:
-            hit = table.get(rest)
-            if hit is not None:
-                a, b = hit
-                diff |= odd_a[a] | odd_b[b]
-                owed ^= (not a) ^ (not b)   # an odd zero is 1000
-                break
-        elif not rest:
-            break
-        else:
-            hit = table.get(rest)
-            if hit is not None and hit[0] not in minority:
-                x, e = hit
-                diff |= ctx._even_repair[x][e]
-                last = ctx._column_mask[x]
-                break
-    else:
+    # 1. solve: one byte, 255 when no decomposition exists
+    code = table[s8]
+    if code == 255:
         return _REFUSED_UNCORRECTABLE
+    # 2. repair: each coefficient picks its column's repair; for p <= 1 the
+    #    byte's high bits number x and its coefficient, and x takes the flip
+    if p < 2:
+        diff = a[code >> 2] | c[code & 3]
+        last = b[code >> 2] or last
+        code &= 3
+    else:
+        diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
     # the last repaired column takes the first-row flip still owed
-    if owed ^ first:
+    if synd >> ctx._first_row_bit ^ flip ^ _ZERO_PARITY[code]:
         if not last:
             return _REFUSED_UNCORRECTABLE
         diff ^= last
@@ -306,4 +316,4 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     # a direct method call: ``in`` would enter through the C slot wrapper
     if diff.bit_count() > 3 or not ctx.binary_code.__contains__(decoded):
         return _REFUSED_UNCORRECTABLE
-    return _new_tuple(DecodeOutcome, (True, decoded, diff, None, (info, s8)))
+    return _new_tuple(DecodeOutcome, (True, decoded, diff, None, info, s8))

@@ -366,6 +366,22 @@ def test_syndrome_tables_on_dense_codes(n):
 
 
 @pytest.mark.parametrize("n", (36, 40, 41, 64))
+def test_byte_tables_are_the_spans_of_the_unit_syndromes(n):
+    # each byte's table is the numpy span of that byte's unit syndromes,
+    # taken bit by bit from the check rows, padded with one shared [0]
+    code, _ = _dense_code(n)
+    rows = code.parity_rows
+    units = [sum((h >> q & 1) << j for j, h in enumerate(rows))
+             for q in range(n)]
+    spans = [bitlin.xor_span(units[b:b + 8]).tolist()
+             for b in range(0, n, 8)]
+    tables = bitlin._byte_tables(rows, n)
+    assert tables[:len(spans)] == spans
+    assert len(tables) == (5 if n <= 40 else 8)
+    assert all(t == [0] for t in tables[len(spans):])
+
+
+@pytest.mark.parametrize("n", (36, 40, 41, 64))
 def test_in_place_reads_match_the_syndrome(n):
     # ``in`` and ``CosetTable.decode`` read the five byte tables in their
     # own frame for n <= 40 and call ``syndrome`` for eight; on a fresh

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from projcode import DecodeOutcome, gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable
-from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
-                              DecoderContext, decode)
+from projcode.decoder import (_ZERO_PARITY, BRANCHES, FAIL_PARITY,
+                              FAIL_UNCORRECTABLE, DecoderContext, decode)
 from projcode.projection import Variant, project, select_candidate
-from projcode.quaternary import QuaternaryCode
+from projcode.quaternary import QuaternaryCode, c4_9
 
 from conftest import (BINARY_IDS, BRANCH_ERRORS, check_parities,
                       make_context, minority_columns, plant,
@@ -149,6 +149,25 @@ def test_contradicted_delta_fails(contexts):
     received = plant(ctx, 0, [(4, 0b0100), (9, 0b1000), (1, 0b1111)])
     out = decode(ctx, received)
     assert not out.ok and out.reason == FAIL_UNCORRECTABLE
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_short_code_keeps_the_minority_entry(variant):
+    # at m = 5 a set of three columns and its complement, the minority,
+    # share one slot: the pair's entry must be the one kept there, so
+    # every error of weight <= 2 on this [20, 7, 5] code, from the first
+    # five columns of c4-9's H, decodes
+    h = [row[:5] for row in c4_9().parity_check]
+    basis = [y for y in itertools.product(gf4.ELEMENTS, repeat=5)
+             if any(y) and not any(gf4.plain_inner(y, r) for r in h)]
+    ctx = DecoderContext(QuaternaryCode("c4-5", basis[:1], h), variant)
+    code = ctx.binary_code
+    assert (code.n, code.k, code.min_distance()) == (20, 7, 5)
+    for c in (0, code.encode(0b1011001)):
+        for w in range(3):
+            for positions in itertools.combinations(range(code.n), w):
+                out = decode(ctx, c ^ sum(1 << q for q in positions))
+                assert out.ok and out.codeword == c
 
 
 def test_oversized_word_rejected(contexts):
@@ -443,12 +462,11 @@ def test_outcome_repr_and_hash_are_of_the_five_fields(contexts):
 
 
 def test_outcomes_compare_by_their_fields_only(contexts):
-    # an outcome whose ``raw`` keeps only what the trace reads equals the
+    # an outcome whose ``info`` keeps only what the trace reads equals the
     # decoder's, and != agrees; outcomes have no order
     out = _three_outcomes(contexts["e36"])[0]
-    info, s8 = out[4]
-    same = DecodeOutcome(True, out.codeword, out.error, None,
-                         (info[:4], s8))
+    info, s8 = out[4:]
+    same = DecodeOutcome(True, out.codeword, out.error, None, info[:4], s8)
     assert same == out and not same != out and hash(same) == hash(out)
     refused = _three_outcomes(contexts["e36"])[1]
     assert out != refused and not out == refused
@@ -475,28 +493,44 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     filled = [info for info in ctx._profiles if info is not None]
     assert len({id(info) for info in filled}) == len(filled) == values - 1
     assert all(info[1] == len(info[3]) <= 3 for info in filled)
-    pairs = {id(ab) for i, j in itertools.combinations(range(1, ctx.m + 1), 2)
-             for ab in ctx.c4.pair_table(i, j).values()}
-    assert len(pairs) == 16
-    # an odd-p entry holds the search tuple of its first minority column,
-    # one object per column: (multiple, odd repair, its first bit) by e
-    search = {}
-    for _, p, _, minority, found, table, odd_a, odd_b, last in filled:
-        assert last == (ctx._column_mask[minority[-1]] if p else 0)
-        if p >= 2:
-            assert table is ctx.c4.pair_table(*minority[-2:])
-            assert (odd_a, odd_b) == tuple(ctx._odd_repair[c]
-                                           for c in minority[-2:])
+    # each entry holds its set's solve table, the one object that the other
+    # variant's context of the same code holds, and the repairs its byte
+    # picks: a pair reads the table of a triple with one phantom column
+    other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
+    twin = {info[3]: info[4] for info in other._profiles if info is not None}
+    solve = ctx.c4.solve_tables()
+    assert ctx.c4.solve_tables() is solve
+    for m, p, flip, minority, table, a, b, c, last in filled:
+        assert m == ctx.m and twin[minority] is table
+        assert last == (0b1111 << 4 * (ctx.m - minority[-1]) if p else 0)
+        assert flip == (int(ctx.variant is Variant.O and 1 in minority)
+                        ^ (p % 2 == 0))
+        if p == 2:
+            third = min({1, 2, 3} - set(minority))
+            columns = tuple(sorted((*minority, third)))
+            assert table is solve[columns]
+            phantom = (0, *[0b1111 << 64] * 3)  # four bits past the word
+            assert (a, b, c) == tuple(
+                ctx._odd_repair[col] if col in minority else phantom
+                for col in columns)
         else:
-            assert table is ctx.c4.single
-        if p & 1:
-            assert search.setdefault(minority[0], found) is found
-            assert found == tuple(
-                (ctx.c4.colmul[minority[0]][e], r, int(e == 0))
-                for e, r in enumerate(ctx._odd_repair[minority[0]]))
-        else:
-            assert found == ((0, 0, 0),)
-    assert sorted(search) == list(range(1, ctx.m + 1))
+            assert table is solve[minority]
+            if p == 3:
+                assert (a, b, c) == tuple(ctx._odd_repair[col]
+                                          for col in minority)
+            else:
+                assert (a, b) == (ctx._even_repair, ctx._even_mask)
+                assert c == (ctx._odd_repair[minority[0]] if p else (0,))
+
+
+def test_zero_parity_is_the_first_bits_of_the_odd_repairs():
+    # byte e1 << 4 | e2 << 2 | e3 owes the first-row bits of the three odd
+    # repairs, set for a zero coefficient only
+    first = [select_candidate(e, 1, not e) >> 3 for e in gf4.ELEMENTS]
+    assert first == [1, 0, 0, 0]
+    assert _ZERO_PARITY == bytes(
+        first[b >> 4 & 3] ^ first[b >> 2 & 3] ^ first[b & 3]
+        for b in range(256))
 
 
 @pytest.mark.parametrize("code_id", BINARY_IDS)
@@ -504,9 +538,13 @@ def test_repairs_are_positioned_candidates(code_id):
     # column c's repairs with coefficient e are select_candidate's nibbles
     # at the column's place in the word, and its mask is that place's 1111
     ctx = _context(code_id)
+    even = []
     for c in range(1, ctx.m + 1):
         at = 4 * (ctx.m - c)
-        assert ctx._column_mask[c] == 0b1111 << at
         for e in gf4.ELEMENTS:
             assert ctx._odd_repair[c][e] == select_candidate(e, 1, not e) << at
-            assert ctx._even_repair[c][e] == select_candidate(e, 0, 0) << at
+        even += [(select_candidate(e, 0, 0) << at, 0b1111 << at)
+                 for e in gf4.NONZERO]
+    # the even repairs and masks by 3 (c - 1) + e, as a solve-table byte
+    # numbers an extra column and its coefficient
+    assert list(zip(ctx._even_repair, ctx._even_mask)) == [(0, 0)] + even

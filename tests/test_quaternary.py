@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 from projcode import gf4
 from projcode.bitlin import xor_span
-from projcode.quaternary import (_G9, _G10, QuaternaryCode, c4_9, c4_10,
-                                 format_gf4_matrix, parse_gf4_matrix)
+from projcode.decoder import DecoderContext
+from projcode.projection import Variant, construct
+from projcode.quaternary import (_G9, _G10, UNSOLVABLE, QuaternaryCode, c4_9,
+                                 c4_10, format_gf4_matrix, parse_gf4_matrix)
 
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
 
@@ -100,55 +103,115 @@ def test_low_weight_vectors_never_parity_check(code):
                 assert code.syndrome(y) != 0
 
 
+def _vector(m: int, terms) -> list[int]:
+    """The length-m vector with coefficient e at column c for each (c, e)."""
+    y = [0] * m
+    for c, e in terms:
+        y[c - 1] = e
+    return y
+
+
+def _check_table(table: bytes, solved: dict[int, int], count: int) -> None:
+    """``table`` holds exactly the bytes of ``solved`` and UNSOLVABLE
+    everywhere else; ``count`` syndromes are solvable."""
+    assert len(solved) == count
+    assert type(table) is bytes and len(table) == 256
+    assert {s: b for s, b in enumerate(table) if b != UNSOLVABLE} == solved
+
+
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
 def test_match_single_column_exhaustive(code):
-    for i in range(1, code.m + 1):
-        for e in gf4.NONZERO:
-            y = [0] * code.m
-            y[i - 1] = e
-            assert code.single[code.syndrome(y)] == (i, e)
-    assert 0 not in code.single
-    assert len(code.single) == 3 * code.m
+    # the solve tables of at most one minority column i and one extra
+    # column x: e1 H_i + ex H_x packs as (3 (x - 1) + ex) << 2 | e1, with
+    # 0 for no x, by the independent syndrome
+    m = code.m
+    solve = code.solve_tables()
+    for minority in [()] + [(i,) for i in range(1, m + 1)]:
+        solved = {}
+        for e1 in gf4.ELEMENTS if minority else (0,):
+            first = [(minority[0], e1)] if minority else []
+            solved[code.syndrome(_vector(m, first))] = e1
+            for x in range(1, m + 1):
+                for ex in gf4.NONZERO:
+                    if x not in minority:
+                        s = code.syndrome(_vector(m, first + [(x, ex)]))
+                        assert s not in solved
+                        solved[s] = (3 * (x - 1) + ex) << 2 | e1
+        count = 4 * (1 + 3 * (m - 1)) if minority else 1 + 3 * m
+        _check_table(solve[minority], solved, count)
 
 
 def test_match_single_column_rejects_double_errors(q9):
     # a sum of two distinct column multiples is never a single multiple
+    table = q9.solve_tables()[()]
     for (i, j) in itertools.combinations(range(1, 10), 2):
-        y = [0] * 9
-        y[i - 1] = gf4.ONE
-        y[j - 1] = gf4.OMEGA
-        assert q9.syndrome(y) not in q9.single
+        assert table[q9.syndrome(_vector(9, [(i, 1), (j, 2)]))] == UNSOLVABLE
 
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
 def test_solve_two_columns_exhaustive(code):
-    for (i, j) in itertools.combinations(range(1, code.m + 1), 2):
-        for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
-            y = [0] * code.m
-            y[i - 1], y[j - 1] = a, b
-            assert code.pair_table(i, j)[code.syndrome(y)] == (a, b)
+    # the decompositions over a pair are the bytes of any triple holding it
+    # whose third coefficient is 0; every other byte of that triple is
+    # UNSOLVABLE or gives the third column a nonzero coefficient
+    m = code.m
+    solve = code.solve_tables()
+    for triple in itertools.combinations(range(1, m + 1), 3):
+        table = solve[triple]
+        for third in range(3):
+            pair = triple[:third] + triple[third + 1:]
+            solved = {}
+            for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
+                s = code.syndrome(_vector(m, zip(pair, (a, b))))
+                coefficients = [a, b]
+                coefficients.insert(third, 0)
+                e1, e2, e3 = coefficients
+                solved[s] = e1 << 4 | e2 << 2 | e3
+            assert len(solved) == 16
+            reads = {s: byte for s, byte in enumerate(table)
+                     if byte != UNSOLVABLE and not byte >> 4 - 2 * third & 3}
+            assert reads == solved
 
 
-def test_solve_three_columns_exhaustive(q9):
-    # the decoder's p = 3 solve: exactly one coefficient of the first
-    # column leaves a syndrome in the pair table of the other two
-    for i, j, k in itertools.combinations(range(1, 10), 3):
-        for vals in itertools.product(gf4.ELEMENTS, repeat=3):
-            y = [0] * 9
-            for c, e in zip((i, j, k), vals):
-                y[c - 1] = e
-            s = q9.syndrome(y)
-            pair = q9.pair_table(j, k)
-            hits = [(e, *pair[s ^ q9.colmul[i][e]]) for e in gf4.ELEMENTS
-                    if s ^ q9.colmul[i][e] in pair]
-            assert hits == [vals]
+def test_solve_three_columns_exhaustive(q9, q10):
+    # the p = 3 solve: every triple's 64 coefficient vectors, one byte each
+    for code in (q9, q10):
+        m = code.m
+        solve = code.solve_tables()
+        for triple in itertools.combinations(range(1, m + 1), 3):
+            solved = {}
+            for e1, e2, e3 in itertools.product(gf4.ELEMENTS, repeat=3):
+                s = code.syndrome(_vector(m, zip(triple, (e1, e2, e3))))
+                solved[s] = e1 << 4 | e2 << 2 | e3
+            _check_table(solve[triple], solved, 64)
+        # and no other set of columns has a table
+        assert len(solve) == math.comb(m, 3) + m + 1
 
 
 def test_solve_columns_unsolvable(q9):
-    # a pure column-4 multiple cannot be written on columns {1, 2}
-    y = [0] * 9
-    y[3] = gf4.OMEGA
-    assert q9.syndrome(y) not in q9.pair_table(1, 2)
+    # a pure column-4 multiple cannot be written on columns {1, 2}: the
+    # triple (1, 2, 3) refuses it or gives column 3 a nonzero coefficient
+    byte = q9.solve_tables()[1, 2, 3][q9.syndrome(_vector(9, [(4, 2)]))]
+    assert byte == UNSOLVABLE or byte & 3
+
+
+def test_solve_tables_wait_for_a_decoder():
+    # a fresh c4-9, its binary codes and their distributions build no solve
+    # table; the first decoder context does, and the next one shares them
+    code = c4_9.__wrapped__()
+    assert code is not c4_9()
+    for variant in Variant:
+        construct(code, variant).weight_distribution()
+    code.weight_distribution()
+    assert code._solve is None
+    first = DecoderContext(code, Variant.O)
+    solve = code._solve
+    assert solve is not None and code.solve_tables() is solve
+    second = DecoderContext(code, Variant.E)
+    assert code._solve is solve
+    for a, b in zip(first._profiles, second._profiles):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[4] is b[4]
 
 
 def test_colmul_holds_the_packed_column_multiples(q9, q10):
