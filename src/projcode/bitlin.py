@@ -149,12 +149,7 @@ def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
             low = h & -h
             units[low.bit_length() - 1] |= 1 << j
             h ^= low
-    tables = []
-    for b in range(0, n, 8):
-        table = [0]
-        for u in units[b:b + 8]:        # the span so far, then its XOR with u
-            table = table + [s ^ u for s in table]
-        tables.append(table)
+    tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
     return tables + [[0]] * ((5 if n <= 40 else 8) - len(tables))
 
 

@@ -208,20 +208,20 @@ def cmd_exhaust(args, parser) -> int:
     table = CosetTable(code) if args.oracle else None
     words = [0] + [code.encode(_trial_rng(args.seed, t).getrandbits(code.k))
                    for t in range(args.samples)]
-    trials = wrong = oracle_mismatch = 0
+    trials = 0
+    wrong = 0
+    oracle_mismatch = 0
     # patterns outermost, so none is kept once its codewords are decoded
     for e in _error_patterns(ctx.n, args.max_weight):
         trials += len(words)
-        if table is None:
-            wrong += sum(decode(ctx, c ^ e).codeword != c for c in words)
-            continue
         for c in words:
-            decoded = decode(ctx, c ^ e).codeword     # None for a refusal
+            y = c ^ e
+            decoded = decode(ctx, y).codeword     # None for a refusal
             if decoded != c:
                 wrong += 1
-            if table.decode(c ^ e) != decoded:
+            if table is not None and table.decode(y) != decoded:
                 oracle_mismatch += 1
-    ok = not (wrong or oracle_mismatch)
+    ok = wrong == 0 and oracle_mismatch == 0
     payload = {
         "code": args.code,
         "max_weight": args.max_weight,

@@ -24,24 +24,20 @@ low byte, that of the projected word, is s = sum of e_c H_c.  One rule
 decodes every case:
 
 1. Solve s = sum of e_c H_c over M, plus at most one other column x when
-   p <= 1 (two errors in one even column).  The solution is unique because
-   any three columns of H are independent, so it is one byte of the
-   quaternary code's solve table for M (``QuaternaryCode.solve_tables``),
-   and 255 there is a refusal.  A pair M reads the table of a triple
-   holding it, whose third column, a phantom of the entry, must take the
-   coefficient 0.
-2. Repair.  The error in each repaired column projects to e_c, is odd in
-   a minority column and even in x, and has its first entry set only for
-   a zero minority coefficient (a lone first-entry error); x's
-   coefficient is never 0.  The context holds each column's errors
-   shifted into place, so the byte's coefficients pick the repair with no
-   per-column loop: it ORs at most three of them.  A phantom's nonzero
+   p <= 1 (two errors in one even column).  Any three columns of H are
+   independent, so the solution is unique: one byte of M's solve table,
+   UNSOLVABLE for none.  A pair reads a triple's table, whose third
+   column, a phantom, must take the coefficient 0.
+2. Repair.  A repaired column's error projects to e_c; it is odd in a
+   minority column, with its first entry set only for e_c = 0, and even
+   in x, whose e_c is never 0.  The context holds these errors shifted
+   into place, so the byte picks at most three to OR; a phantom's nonzero
    coefficient picks four bits past the word, which the weight check
    refuses.  The last repaired column takes the first-row flip still owed
    (delta XOR the repairs' first bits, which ``_ZERO_PARITY`` reads from
-   the byte), which swaps its error for the complement within the
-   column's coset.  A flip owed with no column to take it, or an error of
-   weight above 3, is a refusal.
+   the byte), swapping its error for the complement in its coset.  A flip
+   owed with no column to take it, or an error of weight above 3, is a
+   refusal.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
@@ -62,6 +58,7 @@ word must also pass the code's membership check.  A success is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
@@ -72,6 +69,9 @@ from .projection import (NIBBLE_VALUE, ParityProfile, Variant, construct,
 from .quaternary import QuaternaryCode
 
 _new_tuple = tuple.__new__
+
+# the byte of a solve table that no decomposition reaches
+UNSOLVABLE = 255
 
 # a phantom column's repairs: four bits past any word (n <= 64) for a
 # nonzero coefficient, which the weight check refuses
@@ -166,13 +166,17 @@ _NUMERALS = ("i", "ii", "iii", "iv")
 def _build_trace(received: int, error: int, info: tuple,
                  s8: int) -> DecodeTrace:
     """The trace of a decode from the values it kept: the minority-set
-    entry of ``_profiles`` and the packed syndrome.  The repaired columns
-    and the branch label are read back from the error."""
-    m, p, _, minority = info[:4]
+    entry of ``_profiles``, of which it reads m, and the packed syndrome.
+    The repaired columns and the branch label are read back from the
+    error: a minority column's repair is odd, x's even."""
+    m = info[0]
     profile = parity_profile(received, m)
     nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
-    other = tuple(c for c in range(1, m + 1)
-                  if nibbles[c] and c not in minority)
+    minority, other = [], []
+    for c in range(1, m + 1):
+        if nibbles[c]:
+            (minority if nibbles[c].bit_count() & 1 else other).append(c)
+    p = len(minority)
     nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
     branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
     if branch == "b.i":
@@ -184,6 +188,64 @@ def _build_trace(received: int, error: int, info: tuple,
     return DecodeTrace(profile=profile, syndrome=gf4.unpack(s8, 4),
                        branch=branch, corrections=tuple(corrections),
                        error_weight=error.bit_count())
+
+
+# a triple's solve table by its columns H_i, H_j, H_k, packed as
+# H_i << 16 | H_j << 8 | H_k: the table depends on nothing else, and c4-9's
+# H is the first nine columns of c4-10's, so the two codes share 84
+_TRIPLES: dict[int, bytes] = {}
+
+
+@lru_cache(maxsize=None)
+def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
+    """The solve tables of ``c4``, built once for its O and E contexts and
+    kept, like the ``c4_9`` and ``c4_10`` codes, for the process's life:
+    those of M = () and of each (i,) by i, then the triples' in
+    ``combinations`` order.  Byte s of M's table is the decomposition of
+    the syndrome s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for
+    a triple, and for M of at most one column i plus one other column x,
+    (3 (x - 1) + ex) << 2 | e1, 0 for no x: below UNSOLVABLE for m <= 16."""
+    colmul, m = c4.colmul, c4.m
+    blank = bytes([UNSOLVABLE]) * 256
+    triples = []
+    for i, j in combinations(range(1, m + 1), 2):
+        pair = None
+        for k in range(j + 1, m + 1):
+            key = colmul[i][1] << 16 | colmul[j][1] << 8 | colmul[k][1]
+            table = _TRIPLES.get(key)
+            if table is None:
+                if pair is None:
+                    # the 16 sums e1 H_i + e2 H_j, and their table for e3 = 0
+                    base, pair = bytearray(blank), []
+                    for e1, si in enumerate(colmul[i]):
+                        for e2, sj in enumerate(colmul[j]):
+                            base[si ^ sj] = code = e1 << 4 | e2 << 2
+                            pair.append((si ^ sj, code | 1, code | 2,
+                                         code | 3))
+                table = base[:]
+                _, k1, k2, k3 = colmul[k]
+                for s, c1, c2, c3 in pair:
+                    table[s ^ k1] = c1
+                    table[s ^ k2] = c2
+                    table[s ^ k3] = c3
+                table = _TRIPLES[key] = bytes(table)
+            triples.append(table)
+    # ex H_x and its byte's high bits, for each x and nonzero ex
+    extra = []
+    for x in range(1, m + 1):
+        for ex in gf4.NONZERO:
+            extra.append((colmul[x][ex], 3 * (x - 1) + ex << 2))
+    singles = []
+    for i in range(m + 1):
+        # M = (i,), whose column is no x, or M = () for i = 0
+        table = bytearray(blank)
+        others = extra[:max(3 * i - 3, 0)] + extra[3 * i:]
+        for e1, s1 in enumerate(colmul[i] if i else (0,)):
+            table[s1] = e1
+            for s, code in others:
+                table[s1 ^ s] = code | e1
+        singles.append(bytes(table))
+    return tuple(singles), tuple(triples)
 
 
 class DecoderContext:
@@ -213,7 +275,7 @@ class DecoderContext:
         # only for e = 0.  The even repairs of an extra column x and its
         # 1111, which takes an owed flip, by 3 (x - 1) + ex as a solve-table
         # byte numbers them, 0 for no x.
-        self._odd_repair: list[tuple[int, ...]] = [()]
+        self._odd_repair: list[tuple[int, ...]] = [(0,)]
         self._even_repair = [0]
         self._even_mask = [0]
         masks = [0]
@@ -222,51 +284,55 @@ class DecoderContext:
             masks.append(0b1111 << at)
             self._odd_repair.append(tuple(select_candidate(e, 1, not e) << at
                                           for e in gf4.ELEMENTS))
-            self._even_repair += [select_candidate(e, 0, 0) << at
-                                  for e in gf4.NONZERO]
-            self._even_mask += [masks[c]] * 3
+            for e in gf4.NONZERO:
+                self._even_repair.append(select_candidate(e, 0, 0) << at)
+                self._even_mask.append(masks[c])
         # What decode needs of each minority set M of at most three columns,
         # in the slot that the syndrome's adjacent-column-pair bits give:
         # bit j is the parity of columns j + 1 and j + 2, so M's slot is
         # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
         # with p > 3 or a tie stay empty; decode refuses those first.
-        # An entry is (m, p, flip, minority, table, a, b, c, last): M's
-        # solve table, shared by the O and E contexts, and the repairs its
-        # byte picks.  When p >= 2, a, b and c are the odd repairs of the
-        # table's three columns, a pair's phantom taking ``_PHANTOM``; when
-        # p <= 1, a and b are ``_even_repair`` and ``_even_mask`` and c is
-        # the minority column's odd repairs, or (0,) when p = 0.  ``flip``,
-        # XORed into the syndrome's top bit, is 1 for O when column 1 is a
-        # minority column, toggled for even p, where ``_ZERO_PARITY`` counts
-        # a zero in the slot of no minority column.  ``last`` is the last
-        # minority column's 1111, 0 when p = 0.
-        solve = c4.solve_tables()
-        odd, bits = self._odd_repair, [0] + [1 << c for c in range(m)]
-        self._profiles: list[tuple | None] = [None] * (1 << m - 1)
-        # the sets of 0, 1 and 3 columns are the solve tables' keys, shared
-        # by the O and E contexts
-        for minority in [*solve, *combinations(range(1, m + 1), 2)]:
+        # An entry is (m, p, flip, table, a, b, c, last): M's solve table,
+        # shared by the O and E contexts, and the repairs its byte picks.
+        # When p >= 2, a, b and c are the odd repairs of the table's three
+        # columns, a pair's phantom taking ``_PHANTOM``; when p <= 1, a and
+        # b are ``_even_repair`` and ``_even_mask`` and c is the minority
+        # column's odd repairs, (0,) for M = ().  ``flip``, XORed into the
+        # syndrome's top bit, is 1 for O when column 1 is a minority column,
+        # toggled for even p, where ``_ZERO_PARITY`` counts a zero in the
+        # slot of no minority column.  ``last`` is the last minority
+        # column's 1111, 0 when p = 0.
+        odd, key_mask = self._odd_repair, self._key_mask
+        is_o = variant is Variant.O
+        profiles: list[tuple | None] = [None] * (1 << m - 1)
+        self._profiles = profiles
+
+        def enter(minority, table, a, b, c):
             p = len(minority)
             if 2 * p >= m:      # a tie, or the complement is the minority
-                continue
-            columns = minority
-            if p == 2:          # the triple with the least other column
-                third = min({1, 2, 3}.difference(minority))
-                columns = tuple(sorted((*minority, third)))
-            table = solve[columns]
-            if p == 3:
-                a, b, c = map(odd.__getitem__, columns)
-            elif p == 2:
-                a, b, c = [_PHANTOM if col == third else odd[col]
-                           for col in columns]
-            else:
-                a, b = self._even_repair, self._even_mask
-                c = odd[minority[0]] if p else (0,)
-            last = masks[minority[-1]] if p else 0
-            flip = int(variant is Variant.O and 1 in minority) ^ (not p & 1)
-            pattern = sum(map(bits.__getitem__, minority))
-            self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
-                m, p, flip, minority, table, a, b, c, last)
+                return
+            pattern = 0
+            for col in minority:
+                pattern |= 1 << col - 1
+            profiles[(pattern ^ pattern >> 1) & key_mask] = (
+                m, p, int(is_o and 1 in minority) ^ (not p & 1), table,
+                a, b, c, masks[minority[-1]] if p else 0)
+
+        singles, triples = _solve_tables(c4)
+        for i in range(m + 1):      # M = (i,), or M = () for i = 0
+            enter((i,) if i else (), singles[i], self._even_repair,
+                  self._even_mask, odd[i])
+        for (i, j, k), table in zip(combinations(range(1, m + 1), 3),
+                                    triples):
+            enter((i, j, k), table, odd[i], odd[j], odd[k])
+            # each pair reads the first triple holding it and one of
+            # columns 1-3, that column a phantom
+            if i == 1:
+                enter((j, k), table, _PHANTOM, odd[j], odd[k])
+                if j == 2:
+                    enter((1, k), table, odd[1], _PHANTOM, odd[k])
+                    if k == 3:
+                        enter((1, 2), table, odd[1], odd[2], _PHANTOM)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's.  Read
@@ -291,12 +357,12 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
     info = ctx._profiles[synd >> 8 & ctx._key_mask]
-    _, p, flip, _, table, a, b, c, last = info
+    _, p, flip, table, a, b, c, last = info
     s8 = synd & 255
 
-    # 1. solve: one byte, 255 when no decomposition exists
+    # 1. solve: one byte, UNSOLVABLE when no decomposition exists
     code = table[s8]
-    if code == 255:
+    if code == UNSOLVABLE:
         return _REFUSED_UNCORRECTABLE
     # 2. repair: each coefficient picks its column's repair; for p <= 1 the
     #    byte's high bits number x and its coefficient, and x takes the flip

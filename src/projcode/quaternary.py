@@ -8,15 +8,14 @@ phi images span ``image``, a binary code of every weight doubled.
 Syndromes are taken with the plain (unconjugated) product y H^T and
 packed into 8 bits with ``gf4.pack``, check row 1 highest.  Any three
 columns of H are linearly independent, which is what makes syndromes of
-up to three column errors uniquely decomposable: ``solve_tables`` reads
-each decomposition from one byte.
+up to three column errors uniquely decomposable: the decoder's solve
+tables, built from ``colmul``, read each decomposition from one byte.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import combinations
 
 from . import gf4
 from .bitlin import BinaryLinearCode, matrix_rows, rank
@@ -26,9 +25,6 @@ GF4Vector = tuple[int, ...]
 # the weight-doubling map phi by field element (GF(2)-linear, weight 2 on
 # every nonzero symbol); ``projection`` uses these as column nibbles
 PHI_BLOCKS = (0b000, 0b011, 0b101, 0b110)
-
-# the byte of a solve table that no decomposition reaches
-UNSOLVABLE = 255
 
 
 def _check_symbols(rows: Iterable[Sequence[int]]) -> None:
@@ -72,9 +68,6 @@ class QuaternaryCode:
         for col in zip(*self.parity_check):
             self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
                                      for e in gf4.ELEMENTS))
-        # built by the first decoder that asks, never here: the
-        # constructions and distributions do not read them
-        self._solve: dict[tuple[int, ...], bytes] | None = None
 
     def _validate(self) -> None:
         for h in self.parity_check:
@@ -105,50 +98,6 @@ class QuaternaryCode:
 
     def __contains__(self, y: Sequence[int]) -> bool:
         return self.syndrome(y) == 0
-
-    def solve_tables(self) -> dict[tuple[int, ...], bytes]:
-        """For each set M of 0, 1 or 3 columns, the 256-byte table from a
-        packed syndrome s to the unique decomposition of s over M, packed;
-        UNSOLVABLE where there is none.  Built once, on the first call.
-
-        A triple (i, j, k) packs s = e1 H_i + e2 H_j + e3 H_k as
-        e1 << 4 | e2 << 2 | e3; the decompositions over two of its columns
-        are its bytes whose other coefficient is 0.  M of at most one column i
-        takes one more column x and packs s = e1 H_i + ex H_x as
-        (3 (x - 1) + ex) << 2 | e1, with 0 for no x and e1 = 0 when M is
-        empty: below 255 for every m <= 16 of a binary code."""
-        if self._solve is None:
-            colmul, m = self.colmul, self.m
-            blank = bytes([UNSOLVABLE]) * 256
-            tables = {}
-            for i, j in combinations(range(1, m + 1), 2):
-                # e1 H_i + e2 H_j and its byte's high bits, for every k > j
-                pair = [(si ^ sj, e1 << 4 | e2 << 2)
-                        for e1, si in enumerate(colmul[i])
-                        for e2, sj in enumerate(colmul[j])]
-                for k in range(j + 1, m + 1):
-                    table = bytearray(blank)
-                    k0, k1, k2, k3 = colmul[k]
-                    for s, code in pair:
-                        table[s ^ k0] = code
-                        table[s ^ k1] = code | 1
-                        table[s ^ k2] = code | 2
-                        table[s ^ k3] = code | 3
-                    tables[i, j, k] = bytes(table)
-            # ex H_x and its byte's high bits, for each x and nonzero ex
-            extra = [(colmul[x][ex], 3 * (x - 1) + ex << 2)
-                     for x in range(1, m + 1) for ex in gf4.NONZERO]
-            for i in range(m + 1):
-                # M = (i,), whose column is no x, or M = () for i = 0
-                table = bytearray(blank)
-                others = extra[:max(3 * i - 3, 0)] + extra[3 * i:]
-                for e1, s1 in enumerate(colmul[i] if i else (0,)):
-                    table[s1] = e1
-                    for s, code in others:
-                        table[s1 ^ s] = code | e1
-                tables[(i,) if i else ()] = bytes(table)
-            self._solve = tables
-        return self._solve
 
     # -- weight distribution -----------------------------------------------
 

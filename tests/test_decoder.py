@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from projcode import DecodeOutcome, gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable
 from projcode.decoder import (_ZERO_PARITY, BRANCHES, FAIL_PARITY,
-                              FAIL_UNCORRECTABLE, DecoderContext, decode)
+                              FAIL_UNCORRECTABLE, DecoderContext,
+                              _solve_tables, decode)
 from projcode.projection import Variant, project, select_candidate
 from projcode.quaternary import QuaternaryCode, c4_9
 
@@ -462,11 +463,11 @@ def test_outcome_repr_and_hash_are_of_the_five_fields(contexts):
 
 
 def test_outcomes_compare_by_their_fields_only(contexts):
-    # an outcome whose ``info`` keeps only what the trace reads equals the
-    # decoder's, and != agrees; outcomes have no order
+    # an outcome whose ``info`` keeps only what the trace reads, m, equals
+    # the decoder's, and != agrees; outcomes have no order
     out = _three_outcomes(contexts["e36"])[0]
     info, s8 = out[4:]
-    same = DecodeOutcome(True, out.codeword, out.error, None, info[:4], s8)
+    same = DecodeOutcome(True, out.codeword, out.error, None, info[:1], s8)
     assert same == out and not same != out and hash(same) == hash(out)
     refused = _three_outcomes(contexts["e36"])[1]
     assert out != refused and not out == refused
@@ -492,33 +493,39 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     assert len({id(info) for info in ctx._profiles}) == values
     filled = [info for info in ctx._profiles if info is not None]
     assert len({id(info) for info in filled}) == len(filled) == values - 1
-    assert all(info[1] == len(info[3]) <= 3 for info in filled)
-    # each entry holds its set's solve table, the one object that the other
-    # variant's context of the same code holds, and the repairs its byte
-    # picks: a pair reads the table of a triple with one phantom column
+    # each minority set's entry holds its solve table, the one object that
+    # the other variant's context of the same code holds, and the repairs
+    # its byte picks: a pair reads the table of a triple with one phantom
+    # column
     other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
-    twin = {info[3]: info[4] for info in other._profiles if info is not None}
-    solve = ctx.c4.solve_tables()
-    assert ctx.c4.solve_tables() is solve
-    for m, p, flip, minority, table, a, b, c, last in filled:
-        assert m == ctx.m and twin[minority] is table
-        assert last == (0b1111 << 4 * (ctx.m - minority[-1]) if p else 0)
-        assert flip == (int(ctx.variant is Variant.O and 1 in minority)
-                        ^ (p % 2 == 0))
-        if p == 2:
-            third = min({1, 2, 3} - set(minority))
-            columns = tuple(sorted((*minority, third)))
-            assert table is solve[columns]
-            phantom = (0, *[0b1111 << 64] * 3)  # four bits past the word
-            assert (a, b, c) == tuple(
-                ctx._odd_repair[col] if col in minority else phantom
-                for col in columns)
-        else:
-            assert table is solve[minority]
-            if p == 3:
+    singles, triples = _solve_tables(ctx.c4)
+    m, columns = ctx.m, range(1, ctx.m + 1)
+    by_triple = dict(zip(itertools.combinations(columns, 3), triples))
+    phantom = (0, *[0b1111 << 64] * 3)      # four bits past the word
+    for p in range(4):
+        for minority in itertools.combinations(columns, p):
+            pattern = sum(1 << c - 1 for c in minority)
+            slot = (pattern ^ pattern >> 1) & (1 << m - 1) - 1
+            entry = ctx._profiles[slot]
+            _, _, flip, table, a, b, c, last = entry
+            assert entry[:2] == (m, p)
+            assert table is other._profiles[slot][3]
+            assert last == (0b1111 << 4 * (m - minority[-1]) if p else 0)
+            assert flip == (int(ctx.variant is Variant.O and 1 in minority)
+                            ^ (p % 2 == 0))
+            if p == 2:
+                third = min({1, 2, 3} - set(minority))
+                triple = tuple(sorted((*minority, third)))
+                assert table is by_triple[triple]
+                assert (a, b, c) == tuple(
+                    ctx._odd_repair[col] if col in minority else phantom
+                    for col in triple)
+            elif p == 3:
+                assert table is by_triple[minority]
                 assert (a, b, c) == tuple(ctx._odd_repair[col]
                                           for col in minority)
             else:
+                assert table is singles[minority[0] if p else 0]
                 assert (a, b) == (ctx._even_repair, ctx._even_mask)
                 assert c == (ctx._odd_repair[minority[0]] if p else (0,))
 

@@ -7,10 +7,10 @@ import pytest
 
 from projcode import gf4
 from projcode.bitlin import xor_span
-from projcode.decoder import DecoderContext
+from projcode.decoder import UNSOLVABLE, DecoderContext, _solve_tables
 from projcode.projection import Variant, construct
-from projcode.quaternary import (_G9, _G10, UNSOLVABLE, QuaternaryCode, c4_9,
-                                 c4_10, format_gf4_matrix, parse_gf4_matrix)
+from projcode.quaternary import (_G9, _G10, QuaternaryCode, c4_9, c4_10,
+                                 format_gf4_matrix, parse_gf4_matrix)
 
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
 
@@ -111,6 +111,16 @@ def _vector(m: int, terms) -> list[int]:
     return y
 
 
+def _solve(code: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
+    """The decoder's solve tables of ``code`` by their set of columns."""
+    singles, triples = _solve_tables(code)
+    columns = range(1, code.m + 1)
+    assert len(singles) == code.m + 1
+    assert len(triples) == math.comb(code.m, 3)
+    return {(): singles[0], **{(i,): singles[i] for i in columns},
+            **dict(zip(itertools.combinations(columns, 3), triples))}
+
+
 def _check_table(table: bytes, solved: dict[int, int], count: int) -> None:
     """``table`` holds exactly the bytes of ``solved`` and UNSOLVABLE
     everywhere else; ``count`` syndromes are solvable."""
@@ -125,7 +135,7 @@ def test_match_single_column_exhaustive(code):
     # column x: e1 H_i + ex H_x packs as (3 (x - 1) + ex) << 2 | e1, with
     # 0 for no x, by the independent syndrome
     m = code.m
-    solve = code.solve_tables()
+    solve = _solve(code)
     for minority in [()] + [(i,) for i in range(1, m + 1)]:
         solved = {}
         for e1 in gf4.ELEMENTS if minority else (0,):
@@ -143,7 +153,7 @@ def test_match_single_column_exhaustive(code):
 
 def test_match_single_column_rejects_double_errors(q9):
     # a sum of two distinct column multiples is never a single multiple
-    table = q9.solve_tables()[()]
+    table = _solve(q9)[()]
     for (i, j) in itertools.combinations(range(1, 10), 2):
         assert table[q9.syndrome(_vector(9, [(i, 1), (j, 2)]))] == UNSOLVABLE
 
@@ -154,7 +164,7 @@ def test_solve_two_columns_exhaustive(code):
     # whose third coefficient is 0; every other byte of that triple is
     # UNSOLVABLE or gives the third column a nonzero coefficient
     m = code.m
-    solve = code.solve_tables()
+    solve = _solve(code)
     for triple in itertools.combinations(range(1, m + 1), 3):
         table = solve[triple]
         for third in range(3):
@@ -176,22 +186,32 @@ def test_solve_three_columns_exhaustive(q9, q10):
     # the p = 3 solve: every triple's 64 coefficient vectors, one byte each
     for code in (q9, q10):
         m = code.m
-        solve = code.solve_tables()
+        solve = _solve(code)
         for triple in itertools.combinations(range(1, m + 1), 3):
             solved = {}
             for e1, e2, e3 in itertools.product(gf4.ELEMENTS, repeat=3):
                 s = code.syndrome(_vector(m, zip(triple, (e1, e2, e3))))
                 solved[s] = e1 << 4 | e2 << 2 | e3
             _check_table(solve[triple], solved, 64)
-        # and no other set of columns has a table
-        assert len(solve) == math.comb(m, 3) + m + 1
 
 
 def test_solve_columns_unsolvable(q9):
     # a pure column-4 multiple cannot be written on columns {1, 2}: the
     # triple (1, 2, 3) refuses it or gives column 3 a nonzero coefficient
-    byte = q9.solve_tables()[1, 2, 3][q9.syndrome(_vector(9, [(4, 2)]))]
+    byte = _solve(q9)[1, 2, 3][q9.syndrome(_vector(9, [(4, 2)]))]
     assert byte == UNSOLVABLE or byte & 3
+
+
+def test_codes_share_the_tables_of_common_triples(q9, q10):
+    # a triple's table depends on its three columns alone, and c4-9's H is
+    # the first nine columns of c4-10's: the two codes hold one table for
+    # each triple of those columns, whichever code built it first
+    assert [h[:9] for h in q10.parity_check] == list(q9.parity_check)
+    tables10 = dict(zip(itertools.combinations(range(1, 11), 3),
+                        _solve_tables(q10)[1]))
+    for triple, table in zip(itertools.combinations(range(1, 10), 3),
+                             _solve_tables(q9)[1]):
+        assert table is tables10[triple]
 
 
 def test_solve_tables_wait_for_a_decoder():
@@ -199,19 +219,19 @@ def test_solve_tables_wait_for_a_decoder():
     # table; the first decoder context does, and the next one shares them
     code = c4_9.__wrapped__()
     assert code is not c4_9()
+    misses = _solve_tables.cache_info().misses
     for variant in Variant:
         construct(code, variant).weight_distribution()
     code.weight_distribution()
-    assert code._solve is None
+    assert _solve_tables.cache_info().misses == misses
     first = DecoderContext(code, Variant.O)
-    solve = code._solve
-    assert solve is not None and code.solve_tables() is solve
+    assert _solve_tables.cache_info().misses == misses + 1
     second = DecoderContext(code, Variant.E)
-    assert code._solve is solve
+    assert _solve_tables.cache_info().misses == misses + 1
     for a, b in zip(first._profiles, second._profiles):
         assert (a is None) == (b is None)
         if a is not None:
-            assert a[4] is b[4]
+            assert a[3] is b[3]
 
 
 def test_colmul_holds_the_packed_column_multiples(q9, q10):
