@@ -25,19 +25,16 @@ decodes every case:
 
 1. Solve s = sum of e_c H_c over M, plus at most one other column x when
    p <= 1 (two errors in one even column).  Any three columns of H are
-   independent, so the solution is unique: one byte of M's solve table,
-   UNSOLVABLE for none.  A pair reads a triple's table, whose third
-   column, a phantom, must take the coefficient 0.
+   independent, which the context checks, so the solution is unique: one
+   byte of M's solve table, UNSOLVABLE for none.
 2. Repair.  A repaired column's error projects to e_c; it is odd in a
    minority column, with its first entry set only for e_c = 0, and even
    in x, whose e_c is never 0.  The context holds these errors shifted
-   into place, so the byte picks at most three to OR; a phantom's nonzero
-   coefficient picks four bits past the word, which the weight check
-   refuses.  The last repaired column takes the first-row flip still owed
-   (delta XOR the repairs' first bits, which ``_ZERO_PARITY`` reads from
-   the byte), swapping its error for the complement in its coset.  A flip
-   owed with no column to take it, or an error of weight above 3, is a
-   refusal.
+   into place, so the byte picks at most three to OR.  The last repaired
+   column takes the first-row flip still owed (delta XOR the repairs'
+   first bits, which ``_ZERO_PARITY`` reads from the byte), swapping its
+   error for the complement in its coset.  A flip owed with no column to
+   take it, or an error of weight above 3, is a refusal.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
@@ -52,15 +49,14 @@ decodes every case:
 
 Refused besides the parity refusal: an unsolvable syndrome.  A decoded
 word must also pass the code's membership check.  A success is a
-``DecodeOutcome``, a tuple built with no Python frame.
+``DecodeOutcome``, a ``NamedTuple`` built with no Python frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
+from typing import NamedTuple
 
 from . import gf4
 from .bitlin import BinaryLinearCode
@@ -72,10 +68,6 @@ _new_tuple = tuple.__new__
 
 # the byte of a solve table that no decomposition reaches
 UNSOLVABLE = 255
-
-# a phantom column's repairs: four bits past any word (n <= 64) for a
-# nonzero coefficient, which the weight check refuses
-_PHANTOM = (0, *[0b1111 << 64] * 3)
 
 # the parity of the zero coefficients among the three of a solve-table
 # byte e1 << 4 | e2 << 2 | e3, whose top two bits are 0: the first-row
@@ -90,8 +82,7 @@ BRANCHES = ("a.i", "a.ii", "b.i.1", "b.i.2", "b.ii", "b.iii", "b.iv",
             "c.i", "c.ii", "c.iii", "d.i", "d.ii", "d.iii", "d.iv")
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(NamedTuple):
     """How a successful decode arrived at its answer."""
     profile: ParityProfile
     syndrome: tuple[int, int, int, int]
@@ -100,135 +91,119 @@ class DecodeTrace:
     error_weight: int
 
 
-class DecodeOutcome(tuple):
-    """The read-only result of a decode: the tuple (ok, codeword, error,
-    reason, info, s8).
+class DecodeOutcome(NamedTuple):
+    """The read-only result of a decode.
 
-    A successful ``decode`` keeps in ``info`` and ``s8`` its minority-set
-    entry and the projected syndrome, and builds ``trace`` from them on
-    each read; refusals are shared objects, one per reason, with ``trace``
-    None.  ``decode`` builds a success with ``tuple.__new__``, so no
-    Python frame runs."""
+    A successful ``decode`` keeps the code's ``m`` and the projected
+    syndrome ``s8``, and builds ``trace`` from them on each read; refusals
+    are shared objects, one per reason, with ``trace`` None.  The trace
+    determines m and s8, so outcomes are equal exactly when their (ok,
+    codeword, error, trace, reason) are.  ``decode`` builds a success with
+    ``tuple.__new__``, so no Python frame runs."""
 
-    __slots__ = ()
-
-    def __new__(cls, ok: bool, codeword: int | None = None,
-                error: int | None = None, reason: str | None = None,
-                info: tuple | None = None, s8: int | None = None):
-        return _new_tuple(cls, (ok, codeword, error, reason, info, s8))
-
-    def __getnewargs__(self) -> tuple:
-        # pickle and copy call __new__ with the six fields, not the tuple
-        return tuple(self)
-
-    ok = property(itemgetter(0))
-    codeword = property(itemgetter(1))
-    error = property(itemgetter(2))
-    reason = property(itemgetter(3))
+    ok: bool
+    codeword: int | None = None
+    error: int | None = None
+    reason: str | None = None
+    m: int | None = None
+    s8: int | None = None
 
     @property
     def trace(self) -> DecodeTrace | None:
-        """How the decode arrived at its answer; None for a refusal."""
-        _, codeword, error, _, info, s8 = self
-        if info is None:
+        """How the decode arrived at its answer, None for a refusal.  The
+        repaired columns and the branch label are read back from the
+        error: a minority column's repair is odd, x's even."""
+        m, error = self.m, self.error
+        if m is None:
             return None
-        return _build_trace(codeword ^ error, error, info, s8)
-
-    def _fields(self) -> tuple:
-        return (self.ok, self.codeword, self.error, self.trace, self.reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    # != inverts __eq__, and outcomes have no order, as for any object:
-    # the tuple's own comparisons would read ``info`` and ``s8``
-    __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
-    __gt__, __ge__ = object.__gt__, object.__ge__
+        received = self.codeword ^ error
+        nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
+        minority, other = [], []
+        for c in range(1, m + 1):
+            if nibbles[c]:
+                (minority if nibbles[c].bit_count() & 1 else other).append(c)
+        p = len(minority)
+        nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
+        branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
+        if branch == "b.i":
+            branch += ".1" if nibbles[minority[0]] >> 3 else ".2"
+        corrections = []
+        for c in minority + other:
+            old = (received >> 4 * (m - c)) & 15
+            corrections.append((c, old, old ^ nibbles[c]))
+        return DecodeTrace(profile=parity_profile(received, m),
+                           syndrome=gf4.unpack(self.s8, 4), branch=branch,
+                           corrections=tuple(corrections),
+                           error_weight=error.bit_count())
 
     def __repr__(self) -> str:
-        return ("DecodeOutcome(ok={!r}, codeword={!r}, error={!r}, "
-                "trace={!r}, reason={!r})".format(*self._fields()))
-
-
-_REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
-_REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
+        return (f"DecodeOutcome(ok={self.ok!r}, codeword={self.codeword!r}, "
+                f"error={self.error!r}, trace={self.trace!r}, "
+                f"reason={self.reason!r})")
 
 
 # the numeral of a branch label, by its index within the letter
 _NUMERALS = ("i", "ii", "iii", "iv")
 
-
-def _build_trace(received: int, error: int, info: tuple,
-                 s8: int) -> DecodeTrace:
-    """The trace of a decode from the values it kept: the minority-set
-    entry of ``_profiles``, of which it reads m, and the packed syndrome.
-    The repaired columns and the branch label are read back from the
-    error: a minority column's repair is odd, x's even."""
-    m = info[0]
-    profile = parity_profile(received, m)
-    nibbles = [(error >> 4 * (m - c)) & 15 for c in range(m + 1)]
-    minority, other = [], []
-    for c in range(1, m + 1):
-        if nibbles[c]:
-            (minority if nibbles[c].bit_count() & 1 else other).append(c)
-    p = len(minority)
-    nonzero = sum(1 for c in minority if NIBBLE_VALUE[nibbles[c]])
-    branch = "abcd"[p] + "." + _NUMERALS[nonzero + (p + 1) * len(other)]
-    if branch == "b.i":
-        branch += ".1" if nibbles[minority[0]] >> 3 else ".2"
-    corrections = []
-    for c in minority + other:
-        old = (received >> 4 * (m - c)) & 15
-        corrections.append((c, old, old ^ nibbles[c]))
-    return DecodeTrace(profile=profile, syndrome=gf4.unpack(s8, 4),
-                       branch=branch, corrections=tuple(corrections),
-                       error_weight=error.bit_count())
+_REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
+_REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 
 
-# a triple's solve table by its columns H_i, H_j, H_k, packed as
-# H_i << 16 | H_j << 8 | H_k: the table depends on nothing else, and c4-9's
-# H is the first nine columns of c4-10's, so the two codes share 84
-_TRIPLES: dict[int, bytes] = {}
+# the solve tables of column pairs and triples by their columns, packed as
+# H_i << 8 | H_j and H_i << 16 | H_j << 8 | H_k, which differ because no
+# kept table has a zero column: a table depends on nothing else, and
+# c4-9's H is the first nine columns of c4-10's, so the two codes share
+# 36 pair and 84 triple tables
+_SHARED: dict[int, bytes] = {}
 
 
 @lru_cache(maxsize=None)
 def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
     """The solve tables of ``c4``, built once for its O and E contexts and
     kept, like the ``c4_9`` and ``c4_10`` codes, for the process's life:
-    those of M = () and of each (i,) by i, then the triples' in
-    ``combinations`` order.  Byte s of M's table is the decomposition of
-    the syndrome s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for
-    a triple, and for M of at most one column i plus one other column x,
-    (3 (x - 1) + ex) << 2 | e1, 0 for no x: below UNSOLVABLE for m <= 16."""
+    those of M = () and of each (i,) by i, then the pairs' and the
+    triples' in ``combinations`` order.  Byte s of M's table is the
+    decomposition of the syndrome s over M, UNSOLVABLE for none:
+    e1 << 4 | e2 << 2 | e3 for a triple, with e3 = 0 for a pair, and for M
+    of at most one column i plus one other column x, (3 (x - 1) + ex) << 2
+    | e1, 0 for no x: below UNSOLVABLE for m <= 16.  ValueError naming two
+    or three dependent columns of H, whose table solves fewer syndromes
+    than they have coefficient vectors."""
     colmul, m = c4.colmul, c4.m
     blank = bytes([UNSOLVABLE]) * 256
-    triples = []
+
+    def checked(table: bytearray, *columns: int) -> bytes:
+        if table.count(UNSOLVABLE) > 256 - 4 ** len(columns):
+            raise ValueError(f"{c4.name}: columns "
+                             f"{', '.join(map(str, columns))} of H are "
+                             "dependent")
+        return bytes(table)
+
+    pairs, triples = [], []
     for i, j in combinations(range(1, m + 1), 2):
-        pair = None
+        # the 16 sums e1 H_i + e2 H_j and their bytes
+        sums = [(si ^ sj, e1 << 4 | e2 << 2)
+                for e1, si in enumerate(colmul[i])
+                for e2, sj in enumerate(colmul[j])]
+        key = colmul[i][1] << 8 | colmul[j][1]
+        pair = _SHARED.get(key)
+        if pair is None:
+            table = bytearray(blank)
+            for s, code in sums:
+                table[s] = code
+            pair = _SHARED[key] = checked(table, i, j)
+        pairs.append(pair)
         for k in range(j + 1, m + 1):
-            key = colmul[i][1] << 16 | colmul[j][1] << 8 | colmul[k][1]
-            table = _TRIPLES.get(key)
+            triple = key << 8 | colmul[k][1]
+            table = _SHARED.get(triple)
             if table is None:
-                if pair is None:
-                    # the 16 sums e1 H_i + e2 H_j, and their table for e3 = 0
-                    base, pair = bytearray(blank), []
-                    for e1, si in enumerate(colmul[i]):
-                        for e2, sj in enumerate(colmul[j]):
-                            base[si ^ sj] = code = e1 << 4 | e2 << 2
-                            pair.append((si ^ sj, code | 1, code | 2,
-                                         code | 3))
-                table = base[:]
+                table = bytearray(pair)
                 _, k1, k2, k3 = colmul[k]
-                for s, c1, c2, c3 in pair:
-                    table[s ^ k1] = c1
-                    table[s ^ k2] = c2
-                    table[s ^ k3] = c3
-                table = _TRIPLES[key] = bytes(table)
+                for s, code in sums:
+                    table[s ^ k1] = code | 1
+                    table[s ^ k2] = code | 2
+                    table[s ^ k3] = code | 3
+                table = _SHARED[triple] = checked(table, i, j, k)
             triples.append(table)
     # ex H_x and its byte's high bits, for each x and nonzero ex
     extra = []
@@ -245,7 +220,7 @@ def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
             for s, code in others:
                 table[s1 ^ s] = code | e1
         singles.append(bytes(table))
-    return tuple(singles), tuple(triples)
+    return tuple(singles), tuple(pairs), tuple(triples)
 
 
 class DecoderContext:
@@ -294,14 +269,14 @@ class DecoderContext:
         # with p > 3 or a tie stay empty; decode refuses those first.
         # An entry is (m, p, flip, table, a, b, c, last): M's solve table,
         # shared by the O and E contexts, and the repairs its byte picks.
-        # When p >= 2, a, b and c are the odd repairs of the table's three
-        # columns, a pair's phantom taking ``_PHANTOM``; when p <= 1, a and
-        # b are ``_even_repair`` and ``_even_mask`` and c is the minority
-        # column's odd repairs, (0,) for M = ().  ``flip``, XORed into the
-        # syndrome's top bit, is 1 for O when column 1 is a minority column,
-        # toggled for even p, where ``_ZERO_PARITY`` counts a zero in the
-        # slot of no minority column.  ``last`` is the last minority
-        # column's 1111, 0 when p = 0.
+        # When p >= 2, a, b and c are the odd repairs of M's columns, c
+        # (0,) for a pair; when p <= 1, a and b are ``_even_repair`` and
+        # ``_even_mask`` and c is the minority column's odd repairs, (0,)
+        # for M = ().  ``flip``, XORed into the syndrome's top bit, is 1
+        # for O when column 1 is a minority column, toggled for even p,
+        # where ``_ZERO_PARITY`` counts a zero in the slot of no minority
+        # column.  ``last`` is the last minority column's 1111, 0 when
+        # p = 0.
         odd, key_mask = self._odd_repair, self._key_mask
         is_o = variant is Variant.O
         profiles: list[tuple | None] = [None] * (1 << m - 1)
@@ -318,21 +293,15 @@ class DecoderContext:
                 m, p, int(is_o and 1 in minority) ^ (not p & 1), table,
                 a, b, c, masks[minority[-1]] if p else 0)
 
-        singles, triples = _solve_tables(c4)
+        singles, pairs, triples = _solve_tables(c4)
         for i in range(m + 1):      # M = (i,), or M = () for i = 0
             enter((i,) if i else (), singles[i], self._even_repair,
                   self._even_mask, odd[i])
+        for (i, j), table in zip(combinations(range(1, m + 1), 2), pairs):
+            enter((i, j), table, odd[i], odd[j], (0,))
         for (i, j, k), table in zip(combinations(range(1, m + 1), 3),
                                     triples):
             enter((i, j, k), table, odd[i], odd[j], odd[k])
-            # each pair reads the first triple holding it and one of
-            # columns 1-3, that column a phantom
-            if i == 1:
-                enter((j, k), table, _PHANTOM, odd[j], odd[k])
-                if j == 2:
-                    enter((1, k), table, odd[1], _PHANTOM, odd[k])
-                    if k == 3:
-                        enter((1, 2), table, odd[1], odd[2], _PHANTOM)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's.  Read
@@ -348,16 +317,17 @@ class DecoderContext:
 
 def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     """Bounded-distance projection decoding of a length-n word."""
-    if received >> ctx.n:
-        raise ValueError(f"word does not fit in {ctx.n} bits")
-    # 0. parities: refuse p > 3 or a tie before reading the syndrome
+    # 0. parities: refuse p > 3 or a tie before reading the syndrome, which
+    #    checks the range of any other word
     t = received ^ received >> 2
     y_odd = ((t ^ t >> 1) & ctx.col_parity_mask).bit_count()
     if ctx._refused_counts >> y_odd & 1:
+        if received >> ctx.n:
+            raise ValueError(f"word does not fit in {ctx.n} bits")
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
-    info = ctx._profiles[synd >> 8 & ctx._key_mask]
-    _, p, flip, table, a, b, c, last = info
+    m, p, flip, table, a, b, c, last = ctx._profiles[
+        synd >> 8 & ctx._key_mask]
     s8 = synd & 255
 
     # 1. solve: one byte, UNSOLVABLE when no decomposition exists
@@ -382,4 +352,4 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     # a direct method call: ``in`` would enter through the C slot wrapper
     if diff.bit_count() > 3 or not ctx.binary_code.__contains__(decoded):
         return _REFUSED_UNCORRECTABLE
-    return _new_tuple(DecodeOutcome, (True, decoded, diff, None, info, s8))
+    return _new_tuple(DecodeOutcome, (True, decoded, diff, None, m, s8))

@@ -27,8 +27,8 @@ decoder uses to repair columns.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import gf4
 from .bitlin import BinaryLinearCode, orthogonal
@@ -74,8 +74,7 @@ def project(word: int, m: int) -> tuple[int, ...]:
                  for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class ParityProfile:
+class ParityProfile(NamedTuple):
     """Column parities of a word plus the derived decoding quantities."""
     column_parities: tuple[int, ...]
     first_row_parity: int

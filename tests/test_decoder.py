@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import itertools
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +18,7 @@ from projcode.decoder import (_ZERO_PARITY, BRANCHES, FAIL_PARITY,
                               FAIL_UNCORRECTABLE, DecoderContext,
                               _solve_tables, decode)
 from projcode.projection import Variant, project, select_candidate
-from projcode.quaternary import QuaternaryCode, c4_9
+from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 from conftest import (BINARY_IDS, BRANCH_ERRORS, check_parities,
                       make_context, minority_columns, plant,
@@ -172,8 +172,9 @@ def test_short_code_keeps_the_minority_entry(variant):
 
 
 def test_oversized_word_rejected(contexts):
-    # the range check runs before either path: bit 36 over a clean word
-    # (p = 0) and over a parity-refused one (p = 4), and a negative int
+    # the range is checked on either path: by the syndrome read for bit 36
+    # over a clean word (p = 0), by the parity refusal over a refused one
+    # (p = 4), and a negative int
     ctx = contexts["o36"]
     refused = int("0001" * 4, 2)
     assert decode(ctx, refused).reason == FAIL_PARITY
@@ -185,15 +186,31 @@ def test_oversized_word_rejected(contexts):
 # ---------------------------------------------------------------------------
 # the syndrome read in place
 
-def _systematic_c4(m: int) -> QuaternaryCode:
-    """An [m, m - 4] GF(4) code with H = [I | A] for a random A with no
-    zero entry and basis rows [A^T | I]; the syndrome reads need no cap."""
-    rng = random.Random(m)
-    a = [[rng.randrange(1, 4) for _ in range(m - 4)] for _ in range(4)]
-    h = [[int(r == c) for c in range(4)] + a[r] for r in range(4)]
-    basis = [[a[r][i] for r in range(4)]
-             + [int(j == i) for j in range(m - 4)] for i in range(m - 4)]
-    return QuaternaryCode(f"systematic-{m}", basis, h)
+@functools.lru_cache(maxsize=None)
+def _cap_columns() -> tuple[tuple[int, ...], ...]:
+    """c4-10's ten columns of H, extended greedily, in sorted order, by the
+    points of PG(3, 4) that no two chosen columns span: a cap, any three
+    of its columns independent, of 17 points."""
+    points = [p for p in itertools.product(gf4.ELEMENTS, repeat=4)
+              if any(p) and next(a for a in p if a) == 1]
+    columns, multiples, spanned = [], {0}, {0}
+    for col in [*zip(*c4_10().parity_check), *points]:
+        if gf4.pack(col) not in spanned:
+            new = {gf4.pack(gf4.scale(e, col)) for e in gf4.NONZERO}
+            spanned |= {s ^ t for s in new for t in multiples}
+            multiples |= new
+            columns.append(col)
+    assert len(columns) == 17
+    return tuple(columns)
+
+
+def _systematic_c4(name: str, columns) -> QuaternaryCode:
+    """The GF(4) code whose H has the given columns, the first four I, and
+    whose basis rows are [A^T | I] for A the other columns."""
+    a = columns[4:]
+    basis = [[*col, *(int(j == i) for j in range(len(a)))]
+             for i, col in enumerate(a)]
+    return QuaternaryCode(name, basis, list(zip(*columns)))
 
 
 @pytest.mark.parametrize("code_id", BINARY_IDS + ("m11", "m16"))
@@ -203,7 +220,9 @@ def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
     if code_id in contexts:
         ctx = contexts[code_id]
     else:
-        ctx = DecoderContext(_systematic_c4(int(code_id[1:])), Variant.O)
+        m = int(code_id[1:])
+        ctx = DecoderContext(_systematic_c4(f"cap-{m}", _cap_columns()[:m]),
+                             Variant.O)
     code = ctx.binary_code
     rng = random.Random(ctx.n)
     ones = (1 << ctx.n) - 1
@@ -212,6 +231,25 @@ def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
     for word in words:
         assert ctx.syndrome_packed(word) == code.syndrome(word) \
             == check_parities(code, word)
+
+
+def test_dependent_columns_of_h_are_refused():
+    # c4-10's H with column 10 replaced by column 1 + column 2, and an
+    # m = 5 code with H_2 = w H_1, the one pair built before any triple
+    # that holds it: no cap, so both contexts refuse each code, naming the
+    # dependent columns; the second refusal shows that the first kept no
+    # table of those columns
+    h = list(zip(*c4_10().parity_check))
+    h[9] = tuple(a ^ b for a, b in zip(h[0], h[1]))
+    triple = _systematic_c4("H_10 = H_1 + H_2", h)
+    pair = QuaternaryCode("H_2 = w H_1", [(gf4.OMEGA, 1, 0, 0, 0)],
+                          [(1, gf4.OMEGA, 0, 0, 0), (0, 0, 1, 0, 0),
+                           (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    for code, columns in ((triple, "1, 2, 10"), (pair, "1, 2")):
+        for variant in Variant:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{code.name}: columns {columns} of H are dependent")):
+                DecoderContext(code, variant)
 
 
 @pytest.mark.parametrize("code_id, bits", [
@@ -407,9 +445,9 @@ def test_outcome_and_trace_are_read_only(contexts):
     for name in OUTCOME_FIELDS:
         with pytest.raises(AttributeError):
             setattr(out, name, None)
-    for field in dataclasses.fields(trace):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(trace, field.name, None)
+    for name in trace._fields:
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
     assert out.trace == trace and out.trace.branch == "c.iii"
 
 
@@ -457,22 +495,46 @@ def test_outcome_repr_and_hash_are_of_the_five_fields(contexts):
     assert fields[:3] == (True, 0, plant(ctx, 0, [(2, 0b0100), (5, 0b0010)]))
     assert repr(out) == ("DecodeOutcome(ok=True, codeword=0, error={!r}, "
                          "trace={!r}, reason=None)".format(*fields[2:4]))
-    assert hash(out) == hash(fields)
+    # the hash is the six items', m and s8 being the trace's
+    assert tuple(out) == (*fields[:3], None, ctx.m, out.s8)
+    assert out.trace.syndrome == gf4.unpack(out.s8, 4)
+    assert hash(out) == hash(tuple(out))
     with pytest.raises(AttributeError):
         out.note = "no new attribute either"
 
 
 def test_outcomes_compare_by_their_fields_only(contexts):
-    # an outcome whose ``info`` keeps only what the trace reads, m, equals
-    # the decoder's, and != agrees; outcomes have no order
-    out = _three_outcomes(contexts["e36"])[0]
-    info, s8 = out[4:]
-    same = DecodeOutcome(True, out.codeword, out.error, None, info[:1], s8)
+    # an outcome built from the six items equals the decoder's, as does
+    # the plain tuple of them, and != agrees; outcomes order like tuples
+    out, refused, _ = _three_outcomes(contexts["e36"])
+    same = DecodeOutcome(*out)
     assert same == out and not same != out and hash(same) == hash(out)
-    refused = _three_outcomes(contexts["e36"])[1]
+    assert out == tuple(out) and same.trace == out.trace
     assert out != refused and not out == refused
-    with pytest.raises(TypeError):
-        out < refused
+    assert refused < out and (False,) < refused < (True,)
+
+
+@pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
+def test_outcomes_are_equal_exactly_when_their_fields_are(code):
+    # the O and E outcomes of every error of weight <= 2 on the zero word:
+    # two outcomes compare equal exactly when their five public fields do,
+    # and equal outcomes hash alike
+    def fields(out):
+        return (out.ok, out.codeword, out.error, out.trace, out.reason)
+
+    contexts = [DecoderContext(code, variant) for variant in Variant]
+    n = contexts[0].n
+    by_fields = {}
+    for error in [0, *(1 << i for i in range(n)),
+                  *(1 << i | 1 << j for i, j in
+                    itertools.combinations(range(n), 2))]:
+        o, e = (decode(ctx, error) for ctx in contexts)
+        assert (o == e) == (fields(o) == fields(e))
+        for out in (o, e):
+            first = by_fields.setdefault(fields(out), out)
+            assert first == out and hash(first) == hash(out)
+    outcomes = set(by_fields.values())
+    assert len(outcomes) == len(by_fields) == 1 + n + n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +557,12 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     assert len({id(info) for info in filled}) == len(filled) == values - 1
     # each minority set's entry holds its solve table, the one object that
     # the other variant's context of the same code holds, and the repairs
-    # its byte picks: a pair reads the table of a triple with one phantom
-    # column
+    # its byte picks
     other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
-    singles, triples = _solve_tables(ctx.c4)
+    singles, pairs, triples = _solve_tables(ctx.c4)
     m, columns = ctx.m, range(1, ctx.m + 1)
+    by_pair = dict(zip(itertools.combinations(columns, 2), pairs))
     by_triple = dict(zip(itertools.combinations(columns, 3), triples))
-    phantom = (0, *[0b1111 << 64] * 3)      # four bits past the word
     for p in range(4):
         for minority in itertools.combinations(columns, p):
             pattern = sum(1 << c - 1 for c in minority)
@@ -514,12 +575,9 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
             assert flip == (int(ctx.variant is Variant.O and 1 in minority)
                             ^ (p % 2 == 0))
             if p == 2:
-                third = min({1, 2, 3} - set(minority))
-                triple = tuple(sorted((*minority, third)))
-                assert table is by_triple[triple]
-                assert (a, b, c) == tuple(
-                    ctx._odd_repair[col] if col in minority else phantom
-                    for col in triple)
+                assert table is by_pair[minority]
+                assert (a, b, c) == (*(ctx._odd_repair[col]
+                                       for col in minority), (0,))
             elif p == 3:
                 assert table is by_triple[minority]
                 assert (a, b, c) == tuple(ctx._odd_repair[col]

@@ -113,11 +113,13 @@ def _vector(m: int, terms) -> list[int]:
 
 def _solve(code: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
     """The decoder's solve tables of ``code`` by their set of columns."""
-    singles, triples = _solve_tables(code)
+    singles, pairs, triples = _solve_tables(code)
     columns = range(1, code.m + 1)
     assert len(singles) == code.m + 1
+    assert len(pairs) == math.comb(code.m, 2)
     assert len(triples) == math.comb(code.m, 3)
     return {(): singles[0], **{(i,): singles[i] for i in columns},
+            **dict(zip(itertools.combinations(columns, 2), pairs)),
             **dict(zip(itertools.combinations(columns, 3), triples))}
 
 
@@ -160,26 +162,16 @@ def test_match_single_column_rejects_double_errors(q9):
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
 def test_solve_two_columns_exhaustive(code):
-    # the decompositions over a pair are the bytes of any triple holding it
-    # whose third coefficient is 0; every other byte of that triple is
-    # UNSOLVABLE or gives the third column a nonzero coefficient
+    # the p = 2 solve: every pair's 16 coefficient vectors, one byte each,
+    # e1 << 4 | e2 << 2 with a third coefficient of 0
     m = code.m
     solve = _solve(code)
-    for triple in itertools.combinations(range(1, m + 1), 3):
-        table = solve[triple]
-        for third in range(3):
-            pair = triple[:third] + triple[third + 1:]
-            solved = {}
-            for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
-                s = code.syndrome(_vector(m, zip(pair, (a, b))))
-                coefficients = [a, b]
-                coefficients.insert(third, 0)
-                e1, e2, e3 = coefficients
-                solved[s] = e1 << 4 | e2 << 2 | e3
-            assert len(solved) == 16
-            reads = {s: byte for s, byte in enumerate(table)
-                     if byte != UNSOLVABLE and not byte >> 4 - 2 * third & 3}
-            assert reads == solved
+    for pair in itertools.combinations(range(1, m + 1), 2):
+        solved = {}
+        for e1, e2 in itertools.product(gf4.ELEMENTS, repeat=2):
+            s = code.syndrome(_vector(m, zip(pair, (e1, e2))))
+            solved[s] = e1 << 4 | e2 << 2
+        _check_table(solve[pair], solved, 16)
 
 
 def test_solve_three_columns_exhaustive(q9, q10):
@@ -196,22 +188,23 @@ def test_solve_three_columns_exhaustive(q9, q10):
 
 
 def test_solve_columns_unsolvable(q9):
-    # a pure column-4 multiple cannot be written on columns {1, 2}: the
-    # triple (1, 2, 3) refuses it or gives column 3 a nonzero coefficient
-    byte = _solve(q9)[1, 2, 3][q9.syndrome(_vector(9, [(4, 2)]))]
-    assert byte == UNSOLVABLE or byte & 3
+    # a pure column-4 multiple cannot be written on columns {1, 2}
+    byte = _solve(q9)[1, 2][q9.syndrome(_vector(9, [(4, 2)]))]
+    assert byte == UNSOLVABLE
 
 
 def test_codes_share_the_tables_of_common_triples(q9, q10):
-    # a triple's table depends on its three columns alone, and c4-9's H is
-    # the first nine columns of c4-10's: the two codes hold one table for
-    # each triple of those columns, whichever code built it first
+    # a pair's or a triple's table depends on its columns alone, and c4-9's
+    # H is the first nine columns of c4-10's: the two codes hold one table
+    # for each pair and each triple of those columns, whichever code built
+    # it first
     assert [h[:9] for h in q10.parity_check] == list(q9.parity_check)
-    tables10 = dict(zip(itertools.combinations(range(1, 11), 3),
-                        _solve_tables(q10)[1]))
-    for triple, table in zip(itertools.combinations(range(1, 10), 3),
-                             _solve_tables(q9)[1]):
-        assert table is tables10[triple]
+    solve10 = _solve(q10)
+    shared = [(columns, table) for columns, table in _solve(q9).items()
+              if len(columns) >= 2]
+    assert len(shared) == 36 + 84
+    for columns, table in shared:
+        assert table is solve10[columns]
 
 
 def test_solve_tables_wait_for_a_decoder():
