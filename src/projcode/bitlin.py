@@ -10,7 +10,7 @@ numpy on uint64 words (``BinaryLinearCode`` rejects n > 64), and refuses
 k > 26; the constructed codes of ``projection`` use a closed form
 instead, so the codes enumerated are the quaternary codes' images.
 A syndrome is one lookup per byte of the word, in tables spanned by that
-byte's unit syndromes: five bytes for n <= 40, eight for longer codes.
+byte's unit syndromes: five bytes for n <= 40, ceil(n / 8) in a loop past.
 ``syndrome`` is the one general read; ``in`` and ``CosetTable.decode``,
 which run once per checked word, do the five-table read in their own
 frame, with no nested call, and call ``syndrome`` past 40 bits.
@@ -142,7 +142,7 @@ def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
     byte: each is the span of its byte's unit syndromes below n, as long
     as the range check in ``syndrome`` lets that byte be, and a byte past
     n, always 0, shares one ``[0]``.  There are five tables for n <= 40,
-    which covers the constructed codes, and eight for longer words."""
+    which covers the constructed codes, and ceil(n / 8) past 40 bits."""
     units = [0] * n
     for j, h in enumerate(parity_rows):
         while h:                        # one pass per set bit of the row
@@ -150,7 +150,7 @@ def _byte_tables(parity_rows: Sequence[int], n: int) -> list[list[int]]:
             units[low.bit_length() - 1] |= 1 << j
             h ^= low
     tables = [xor_span(units[b:b + 8]).tolist() for b in range(0, n, 8)]
-    return tables + [[0]] * ((5 if n <= 40 else 8) - len(tables))
+    return tables + [[0]] * (5 - len(tables))
 
 
 class BinaryLinearCode:
@@ -226,10 +226,10 @@ class BinaryLinearCode:
             t0, t1, t2, t3, t4 = tables
             b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
             return t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
-        t0, t1, t2, t3, t4, t5, t6, t7 = tables
-        b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
-        return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
-                ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
+        synd = 0
+        for table, byte in zip(tables, word.to_bytes(len(tables), "little")):
+            synd ^= table[byte]
+        return synd
 
     def __contains__(self, word: int) -> bool:
         # the five-table read of ``syndrome``, in place: the decoder's

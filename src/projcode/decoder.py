@@ -6,9 +6,7 @@ fallback).  The received word is viewed as a 4 x m array.  Let p be the
 number of columns whose parity disagrees with the majority; since at most
 three columns can be hit, the majority parity is the parity pi of the
 transmitted word's columns, and the p minority columns M are exactly the
-columns holding an odd number of errors.  The expected first-row parity
-rho is pi for construction O and even for construction E, so delta =
-observed first-row parity XOR rho is the number of first-row errors mod 2.
+columns holding an odd number of errors.
 
 The decoder first counts the odd columns y with one popcount and, by one
 bit test on y, refuses p = min(y, m - y) > 3 or a tie, with no syndrome
@@ -16,8 +14,8 @@ read.  Any other word reads one syndrome, the code's own over
 ``projection_checks``, from the code's byte tables in the frame of
 ``DecoderContext.syndrome_packed``.  Its bits 8 to m + 6, the parities
 of adjacent column pairs, give the parity pattern up to complement, so
-they index the context's entry for M; its top bit is delta, flipped for
-O when column 1 is a minority column.
+they index the context's entry for M.  The last check row, the first row
+plus column 1 for O, asks a first-row parity of pi for O and 0 for E.
 
 The error in column c projects to a coefficient e_c, and the syndrome's
 low byte, that of the projected word, is s = sum of e_c H_c.  One rule
@@ -27,18 +25,18 @@ decodes every case:
    p <= 1 (two errors in one even column).  Any three columns of H are
    independent, which the context checks, so the solution is unique: one
    byte of M's solve table, UNSOLVABLE for none.
-2. Repair.  A repaired column's error projects to e_c; it is odd in a
-   minority column, with its first entry set only for e_c = 0, and even
-   in x, whose e_c is never 0.  The context holds these errors shifted
-   into place, so the byte picks at most three to OR.  The last repaired
-   column takes the first-row flip still owed (delta XOR the repairs'
-   first bits, which ``_ZERO_PARITY`` reads from the byte), swapping its
-   error for the complement in its coset.  A flip owed with no column to
-   take it, or an error of weight above 3, is a refusal.
+2. Repair.  A repaired column's error projects to e_c; it is one bit in
+   a minority column, the first entry only for e_c = 0, and two bits in
+   x.  The context holds these errors shifted into place, so the byte
+   picks at most three to OR, and the repaired word meets every check
+   row but perhaps the last.  If it fails that row, x, or else a lone
+   minority column, swaps its error for the complement (XOR 1111): that
+   meets the last row alone and keeps the weight at most 3.  With no such
+   column (p = 0 without x, or p >= 2), the word is refused.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
-   when x is used; b.i splits into b.i.1 (delta = 1) and b.i.2 (delta = 0).
+   when x is used; b.i splits into b.i.1 and b.i.2 by the repair of i.
 
   p=0: a.i   clean word                a.ii  two errors in x
   p=1: b.i.1 first entry of i          b.i.2 rows 2-4 of i
@@ -47,9 +45,9 @@ decodes every case:
   p=2: c.i - c.iii  0 - 2 minority columns with a nonzero coefficient
   p=3: d.i - d.iv   0 - 3 minority columns with a nonzero coefficient
 
-Refused besides the parity refusal: an unsolvable syndrome.  A decoded
-word must also pass the code's membership check.  A success is a
-``DecodeOutcome``, a ``NamedTuple`` built with no Python frame.
+Refused besides the parity refusal: an unsolvable syndrome, or an owed
+flip with no column to take it.  A decoded word must pass the membership
+check too.  A success, a ``DecodeOutcome``, is built with no Python frame.
 """
 
 from __future__ import annotations
@@ -68,12 +66,6 @@ _new_tuple = tuple.__new__
 
 # the byte of a solve table that no decomposition reaches
 UNSOLVABLE = 255
-
-# the parity of the zero coefficients among the three of a solve-table
-# byte e1 << 4 | e2 << 2 | e3, whose top two bits are 0: the first-row
-# bits of their odd repairs, 1000 for e = 0 alone
-_ZERO_PARITY = bytes([z1 ^ z2 ^ z3 for z1 in (1, 0, 0, 0)
-                      for z2 in (1, 0, 0, 0) for z3 in (1, 0, 0, 0)] * 4)
 
 FAIL_PARITY = "parity-inconsistent"
 FAIL_UNCORRECTABLE = "uncorrectable"
@@ -179,23 +171,29 @@ def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
                              "dependent")
         return bytes(table)
 
-    pairs, triples = [], []
-    for i, j in combinations(range(1, m + 1), 2):
-        # the 16 sums e1 H_i + e2 H_j and their bytes
-        sums = [(si ^ sj, e1 << 4 | e2 << 2)
-                for e1, si in enumerate(colmul[i])
-                for e2, sj in enumerate(colmul[j])]
+    # every pair is checked before any triple, so a dependent pair is
+    # named as a pair, not as a triple that holds it
+    columns = range(1, m + 1)
+    pairs = []
+    for i, j in combinations(columns, 2):
         key = colmul[i][1] << 8 | colmul[j][1]
         pair = _SHARED.get(key)
         if pair is None:
             table = bytearray(blank)
-            for s, code in sums:
-                table[s] = code
+            for e1, si in enumerate(colmul[i]):
+                for e2, sj in enumerate(colmul[j]):
+                    table[si ^ sj] = e1 << 4 | e2 << 2
             pair = _SHARED[key] = checked(table, i, j)
         pairs.append(pair)
+    triples = []
+    for (i, j), pair in zip(combinations(columns, 2), pairs):
+        # the 16 sums e1 H_i + e2 H_j and their bytes
+        sums = [(si ^ sj, e1 << 4 | e2 << 2)
+                for e1, si in enumerate(colmul[i])
+                for e2, sj in enumerate(colmul[j])]
         for k in range(j + 1, m + 1):
-            triple = key << 8 | colmul[k][1]
-            table = _SHARED.get(triple)
+            key = colmul[i][1] << 16 | colmul[j][1] << 8 | colmul[k][1]
+            table = _SHARED.get(key)
             if table is None:
                 table = bytearray(pair)
                 _, k1, k2, k3 = colmul[k]
@@ -203,7 +201,7 @@ def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
                     table[s ^ k1] = code | 1
                     table[s ^ k2] = code | 2
                     table[s ^ k3] = code | 3
-                table = _SHARED[triple] = checked(table, i, j, k)
+                table = _SHARED[key] = checked(table, i, j, k)
             triples.append(table)
     # ex H_x and its byte's high bits, for each x and nonzero ex
     extra = []
@@ -239,7 +237,8 @@ class DecoderContext:
         self._synd_tables = (self.binary_code._synd_tables if self.n <= 40
                              else None)
         self.col_parity_mask = int("0001" * m, 2)
-        self._first_row_bit = self.n - self.binary_code.k - 1
+        # the code's last check row: the first row, plus column 1 for O
+        self._first_check = self.binary_code.parity_rows[-1]
         # bit y is set when y odd columns leave p > 3 minority columns or
         # a tie: the parity refusal
         self._refused_counts = sum(1 << y for y in range(m + 1)
@@ -267,18 +266,17 @@ class DecoderContext:
         # bit j is the parity of columns j + 1 and j + 2, so M's slot is
         # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
         # with p > 3 or a tie stay empty; decode refuses those first.
-        # An entry is (m, p, flip, table, a, b, c, last): M's solve table,
+        # An entry is (m, p, table, a, b, c, last): M's solve table,
         # shared by the O and E contexts, and the repairs its byte picks.
         # When p >= 2, a, b and c are the odd repairs of M's columns, c
         # (0,) for a pair; when p <= 1, a and b are ``_even_repair`` and
         # ``_even_mask`` and c is the minority column's odd repairs, (0,)
-        # for M = ().  ``flip``, XORed into the syndrome's top bit, is 1
-        # for O when column 1 is a minority column, toggled for even p,
-        # where ``_ZERO_PARITY`` counts a zero in the slot of no minority
-        # column.  ``last`` is the last minority column's 1111, 0 when
-        # p = 0.
+        # for M = ().  ``last``, which takes a first-row flip that the
+        # repaired word still owes its last check row, is the minority
+        # column's 1111 when p = 1 and 0 otherwise: at p >= 2 its
+        # complement would make an error of weight 4 or more.  No entry
+        # depends on the variant.
         odd, key_mask = self._odd_repair, self._key_mask
-        is_o = variant is Variant.O
         profiles: list[tuple | None] = [None] * (1 << m - 1)
         self._profiles = profiles
 
@@ -290,8 +288,7 @@ class DecoderContext:
             for col in minority:
                 pattern |= 1 << col - 1
             profiles[(pattern ^ pattern >> 1) & key_mask] = (
-                m, p, int(is_o and 1 in minority) ^ (not p & 1), table,
-                a, b, c, masks[minority[-1]] if p else 0)
+                m, p, table, a, b, c, masks[minority[0]] if p == 1 else 0)
 
         singles, pairs, triples = _solve_tables(c4)
         for i in range(m + 1):      # M = (i,), or M = () for i = 0
@@ -326,7 +323,7 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
             raise ValueError(f"word does not fit in {ctx.n} bits")
         return _REFUSED_PARITY
     synd = ctx.syndrome_packed(received)
-    m, p, flip, table, a, b, c, last = ctx._profiles[
+    m, p, table, a, b, c, last = ctx._profiles[
         synd >> 8 & ctx._key_mask]
     s8 = synd & 255
 
@@ -339,17 +336,18 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     if p < 2:
         diff = a[code >> 2] | c[code & 3]
         last = b[code >> 2] or last
-        code &= 3
     else:
         diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
-    # the last repaired column takes the first-row flip still owed
-    if synd >> ctx._first_row_bit ^ flip ^ _ZERO_PARITY[code]:
+    decoded = received ^ diff
+    # the repaired word meets every check row but perhaps the last: if it
+    # fails that one, the last repaired column takes the first-row flip
+    if (decoded & ctx._first_check).bit_count() & 1:
         if not last:
             return _REFUSED_UNCORRECTABLE
         diff ^= last
+        decoded ^= last
 
-    decoded = received ^ diff
     # a direct method call: ``in`` would enter through the C slot wrapper
-    if diff.bit_count() > 3 or not ctx.binary_code.__contains__(decoded):
+    if not ctx.binary_code.__contains__(decoded):
         return _REFUSED_UNCORRECTABLE
     return _new_tuple(DecodeOutcome, (True, decoded, diff, None, m, s8))

@@ -344,8 +344,8 @@ def test_min_distance_needs_a_nonzero_codeword(q9):
 
 def _dense_code(n: int) -> tuple[BinaryLinearCode, list[int]]:
     """A fresh dense random [n, n // 2] code, and words that set every
-    byte, which tell XOR from OR in each of the five or eight table
-    lookups, then random words."""
+    byte, which tell XOR from OR in each of the table lookups, then
+    random words."""
     rng = random.Random(n)
     k = n // 2
     rows = [rng.getrandbits(n) for _ in range(k)]
@@ -368,7 +368,8 @@ def test_syndrome_tables_on_dense_codes(n):
 @pytest.mark.parametrize("n", (36, 40, 41, 64))
 def test_byte_tables_are_the_spans_of_the_unit_syndromes(n):
     # each byte's table is the numpy span of that byte's unit syndromes,
-    # taken bit by bit from the check rows, padded with one shared [0]
+    # taken bit by bit from the check rows, padded with one shared [0] up
+    # to five tables; past 40 bits there is one table per byte, no more
     code, _ = _dense_code(n)
     rows = code.parity_rows
     units = [sum((h >> q & 1) << j for j, h in enumerate(rows))
@@ -377,14 +378,14 @@ def test_byte_tables_are_the_spans_of_the_unit_syndromes(n):
              for b in range(0, n, 8)]
     tables = bitlin._byte_tables(rows, n)
     assert tables[:len(spans)] == spans
-    assert len(tables) == (5 if n <= 40 else 8)
+    assert len(tables) == max(5, len(spans))
     assert all(t == [0] for t in tables[len(spans):])
 
 
 @pytest.mark.parametrize("n", (36, 40, 41, 64))
 def test_in_place_reads_match_the_syndrome(n):
     # ``in`` and ``CosetTable.decode`` read the five byte tables in their
-    # own frame for n <= 40 and call ``syndrome`` for eight; on a fresh
+    # own frame for n <= 40 and call ``syndrome`` past that; on a fresh
     # code the first ``in`` builds the tables through ``syndrome``
     code, words = _dense_code(n)
     rng = random.Random(-n)
@@ -405,7 +406,7 @@ def test_in_place_reads_match_the_syndrome(n):
 @given(st.data())
 def test_syndrome_bits_are_check_row_parities(data):
     # repetition codes on both sides of the five-table limit (n <= 40)
-    # and at both ends of the eight-table range
+    # and at both ends of the looped range
     n = data.draw(st.sampled_from((4, 36, 40, 41, 64)))
     code = BinaryLinearCode([(1 << n) - 1], n)
     word = data.draw(st.integers(0, (1 << n) - 1))

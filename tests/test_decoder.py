@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from projcode import DecodeOutcome, gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable
-from projcode.decoder import (_ZERO_PARITY, BRANCHES, FAIL_PARITY,
-                              FAIL_UNCORRECTABLE, DecoderContext,
-                              _solve_tables, decode)
+from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
+                              UNSOLVABLE, DecoderContext, _solve_tables,
+                              decode)
 from projcode.projection import Variant, project, select_candidate
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
@@ -216,7 +216,7 @@ def _systematic_c4(name: str, columns) -> QuaternaryCode:
 @pytest.mark.parametrize("code_id", BINARY_IDS + ("m11", "m16"))
 def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
     # five tables read in place for the four codes; n = 44 and 64 call
-    # ``syndrome``, which reads eight
+    # ``syndrome``, which loops over six and eight
     if code_id in contexts:
         ctx = contexts[code_id]
     else:
@@ -234,18 +234,22 @@ def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
 
 
 def test_dependent_columns_of_h_are_refused():
-    # c4-10's H with column 10 replaced by column 1 + column 2, and an
-    # m = 5 code with H_2 = w H_1, the one pair built before any triple
-    # that holds it: no cap, so both contexts refuse each code, naming the
-    # dependent columns; the second refusal shows that the first kept no
-    # table of those columns
+    # c4-10's H with column 10 replaced by column 1 + column 2 or by
+    # w column 1, and an m = 5 code with H_2 = w H_1: no cap, so both
+    # contexts refuse each code, naming the dependent columns, a pair as
+    # a pair though triples holding it come first in ``combinations``
+    # order; the second refusal shows that the first kept no table of
+    # those columns
     h = list(zip(*c4_10().parity_check))
     h[9] = tuple(a ^ b for a, b in zip(h[0], h[1]))
     triple = _systematic_c4("H_10 = H_1 + H_2", h)
+    h[9] = gf4.scale(gf4.OMEGA, h[0])
+    late_pair = _systematic_c4("H_10 = w H_1", h)
     pair = QuaternaryCode("H_2 = w H_1", [(gf4.OMEGA, 1, 0, 0, 0)],
                           [(1, gf4.OMEGA, 0, 0, 0), (0, 0, 1, 0, 0),
                            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    for code, columns in ((triple, "1, 2, 10"), (pair, "1, 2")):
+    for code, columns in ((triple, "1, 2, 10"), (late_pair, "1, 10"),
+                          (pair, "1, 2")):
         for variant in Variant:
             with pytest.raises(ValueError, match=re.escape(
                     f"{code.name}: columns {columns} of H are dependent")):
@@ -556,9 +560,11 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     filled = [info for info in ctx._profiles if info is not None]
     assert len({id(info) for info in filled}) == len(filled) == values - 1
     # each minority set's entry holds its solve table, the one object that
-    # the other variant's context of the same code holds, and the repairs
-    # its byte picks
+    # the other variant's context of the same code holds, the repairs its
+    # byte picks and the column that takes an owed flip: no field depends
+    # on the variant, so the two contexts' entries are equal slot by slot
     other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
+    assert other._profiles == ctx._profiles
     singles, pairs, triples = _solve_tables(ctx.c4)
     m, columns = ctx.m, range(1, ctx.m + 1)
     by_pair = dict(zip(itertools.combinations(columns, 2), pairs))
@@ -568,12 +574,11 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
             pattern = sum(1 << c - 1 for c in minority)
             slot = (pattern ^ pattern >> 1) & (1 << m - 1) - 1
             entry = ctx._profiles[slot]
-            _, _, flip, table, a, b, c, last = entry
+            _, _, table, a, b, c, last = entry
             assert entry[:2] == (m, p)
-            assert table is other._profiles[slot][3]
-            assert last == (0b1111 << 4 * (m - minority[-1]) if p else 0)
-            assert flip == (int(ctx.variant is Variant.O and 1 in minority)
-                            ^ (p % 2 == 0))
+            assert table is other._profiles[slot][2]
+            assert last == (0b1111 << 4 * (m - minority[0]) if p == 1
+                            else 0)
             if p == 2:
                 assert table is by_pair[minority]
                 assert (a, b, c) == (*(ctx._odd_repair[col]
@@ -588,14 +593,40 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
                 assert c == (ctx._odd_repair[minority[0]] if p else (0,))
 
 
-def test_zero_parity_is_the_first_bits_of_the_odd_repairs():
-    # byte e1 << 4 | e2 << 2 | e3 owes the first-row bits of the three odd
-    # repairs, set for a zero coefficient only
-    first = [select_candidate(e, 1, not e) >> 3 for e in gf4.ELEMENTS]
-    assert first == [1, 0, 0, 0]
-    assert _ZERO_PARITY == bytes(
-        first[b >> 4 & 3] ^ first[b >> 2 & 3] ^ first[b & 3]
-        for b in range(256))
+def test_every_solvable_byte_repairs_to_a_codeword(contexts):
+    # the decoder checked by check row, not by word: for each filled slot
+    # and each byte s8 that its solve table solves, the repair built as
+    # decode builds it has the syndrome slot << 8 | s8 below the last
+    # check row and weighs at most 3, and the column that takes an owed
+    # first-row flip meets the last check row alone and keeps the weight
+    # at most 3.  So every word that decode repairs lands on a codeword
+    # within distance 3, and the membership guard can reject none.
+    checked = 0
+    for code_id in BINARY_IDS:
+        ctx = contexts[code_id]
+        syndrome = ctx.binary_code.syndrome
+        top = 1 << ctx.n - ctx.binary_code.k - 1
+        for slot, entry in enumerate(ctx._profiles):
+            if entry is None:
+                continue
+            _, p, table, a, b, c, last = entry
+            assert p < 2 or last == 0
+            for s8, code in enumerate(table):
+                if code == UNSOLVABLE:
+                    continue
+                if p < 2:
+                    diff = a[code >> 2] | c[code & 3]
+                    owed = b[code >> 2] or last
+                else:
+                    diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
+                    owed = last
+                assert syndrome(diff) & top - 1 == slot << 8 | s8
+                assert diff.bit_count() <= 3
+                if owed:
+                    assert syndrome(owed) == top
+                    assert (diff ^ owed).bit_count() <= 3
+                checked += 1
+    assert checked == 32862
 
 
 @pytest.mark.parametrize("code_id", BINARY_IDS)

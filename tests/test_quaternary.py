@@ -224,7 +224,7 @@ def test_solve_tables_wait_for_a_decoder():
     for a, b in zip(first._profiles, second._profiles):
         assert (a is None) == (b is None)
         if a is not None:
-            assert a[3] is b[3]
+            assert a[2] is b[2]
 
 
 def test_colmul_holds_the_packed_column_multiples(q9, q10):
