@@ -93,23 +93,25 @@ def format_matrix(rows: Iterable[int], n: int, group: int) -> str:
 # GF(2) elimination
 
 def rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
-    """Reduced row echelon form over GF(2): (nonzero reduced rows, rank).
-
-    The rows come in pivot order, and row i's leading bit is its pivot.
-    """
-    work = [r for r in rows]
-    reduced: list[int] = []
-    for col in range(n):
-        bit = 1 << (n - 1 - col)
-        src = next((i for i, r in enumerate(work) if r & bit), None)
-        if src is None:
-            continue
-        piv = work.pop(src)
-        work = [r ^ piv if r & bit else r for r in work]
-        reduced = [r ^ piv if r & bit else r for r in reduced]
-        reduced.append(piv)
-        if not work:
-            break
+    """Reduced row echelon form over GF(2): (nonzero reduced rows, rank),
+    the rows in pivot order, row i's leading bit its pivot.  Each row loses
+    the kept pivots it holds; a nonzero remainder's leading bit is a new
+    pivot, which the kept rows lose.  ValueError naming a row that does not
+    fit in n bits."""
+    basis: dict[int, int] = {}          # pivot bit -> its row
+    for row in rows:
+        if row >> n:
+            raise ValueError(f"row {row:#b} does not fit in {n} bits")
+        for bit, piv in basis.items():
+            if row & bit:
+                row ^= piv
+        if row:
+            lead = 1 << row.bit_length() - 1
+            for bit, piv in basis.items():
+                if piv & lead:
+                    basis[bit] = piv ^ row
+            basis[lead] = row
+    reduced = sorted(basis.values(), reverse=True)
     return reduced, len(reduced)
 
 
@@ -166,7 +168,7 @@ class BinaryLinearCode:
         self.k = len(self.generator)
         self._parity_rows = given = (None if parity_rows is None
                                      else tuple(parity_rows))
-        for row in self.generator + (given or ()):
+        for row in given or ():         # rref refuses a wide generator row
             if row >> n:
                 raise ValueError(f"row {row:#b} does not fit in {n} bits")
         reduced, found = rref(self.generator, n)
@@ -262,13 +264,16 @@ class BinaryLinearCode:
         return tuple(int(c) for c in counts)
 
     def min_distance(self) -> int:
-        """The least nonzero weight; ValueError for a code with no nonzero
-        codeword."""
-        dist = self.weight_distribution()
-        d = next((i for i in range(1, self.n + 1) if dist[i]), None)
-        if d is None:
-            raise ValueError("no nonzero codeword: minimum distance undefined")
-        return d
+        return min_weight(self.weight_distribution())
+
+
+def min_weight(dist: Sequence[int]) -> int:
+    """The least nonzero weight of a distribution (A_0, A_1, ...);
+    ValueError when it counts no nonzero codeword."""
+    d = next((w for w, a in enumerate(dist) if w and a), None)
+    if d is None:
+        raise ValueError("no nonzero codeword: minimum distance undefined")
+    return d
 
 
 class CosetTable:

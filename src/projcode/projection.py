@@ -174,18 +174,21 @@ class ProjectionCode(BinaryLinearCode):
         have weight j and S hold t of its m - j zero columns and u of its
         j nonzero ones.  A nonzero symbol's column weighs 2 (b = 0) or 3,
         1 in S (b = 1); a zero symbol's 0, 4 in S (b = 0) or 1, 3 in S
-        (b = 1).  So the word weighs 2j + 4t or m + 2j + 2t - 2u."""
+        (b = 1).  So the word weighs 2j + 4t when t + u is even, for
+        2^(j - 1) choices of the u columns if j >= 1 (1 - t % 2 if j = 0),
+        and m + 2j + 2t - 2u when t + u = odd (mod 2), odd being the
+        1000...0111 case.  Weights j with A_j = 0 add nothing."""
         m = self.c4.m
         odd = _odd_tail(m, self.variant)
         dist = [0] * (4 * m + 1)
         for j, a in enumerate(self.c4.weight_distribution()):
+            if not a:
+                continue
             for t in range(m - j + 1):
-                for u in range(j + 1):
-                    words = a * comb(m - j, t) * comb(j, u)
-                    if not (t + u) & 1:
-                        dist[2 * j + 4 * t] += words
-                    if (t + u) & 1 == odd:
-                        dist[m + 2 * j + 2 * t - 2 * u] += words
+                words = a * comb(m - j, t)
+                dist[2 * j + 4 * t] += words * (1 << j - 1 if j else 1 - t % 2)
+                for u in range((t + odd) % 2, j + 1, 2):
+                    dist[m + 2 * j + 2 * t - 2 * u] += words * comb(j, u)
         return tuple(dist)
 
 

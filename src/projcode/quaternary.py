@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from . import gf4
-from .bitlin import BinaryLinearCode, matrix_rows, rank
+from .bitlin import BinaryLinearCode, matrix_rows, min_weight, rank
 
 GF4Vector = tuple[int, ...]
 
@@ -50,6 +50,7 @@ class QuaternaryCode:
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
         self._validate()
+        self._distribution: tuple[int, ...] | None = None
         # phi of each generator, 3 bits per symbol; a dependent basis,
         # which BinaryLinearCode rejects, is reported in this code's terms
         # and the image's other errors keep their text
@@ -103,11 +104,15 @@ class QuaternaryCode:
 
     def weight_distribution(self) -> tuple[int, ...]:
         """(A_0, ..., A_m): every other entry of the distribution of the
-        phi image, whose words weigh at most 2m."""
-        return self.image.weight_distribution()[:2 * self.m + 1:2]
+        phi image, whose words weigh at most 2m.  The image is enumerated
+        on the first call only; the tuple is kept on the code."""
+        if self._distribution is None:
+            self._distribution = \
+                self.image.weight_distribution()[:2 * self.m + 1:2]
+        return self._distribution
 
     def min_distance(self) -> int:
-        return self.image.min_distance() // 2
+        return min_weight(self.weight_distribution())
 
     def __repr__(self) -> str:
         return f"QuaternaryCode({self.name}, m={self.m}, r={self.r})"

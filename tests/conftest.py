@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import projcode
+from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, rank, xor_span
 from projcode.decoder import DecoderContext
 from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
@@ -69,6 +72,26 @@ def code_equal(a: BinaryLinearCode, b: BinaryLinearCode) -> bool:
     return rank(list(a.generator) + list(b.generator), a.n) == a.k
 
 
+def reference_rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
+    """``rref`` by a sweep over the n columns: each column's first
+    remaining row with its bit set is the next pivot row, and every other
+    row, kept or remaining, loses that bit."""
+    work = list(rows)
+    reduced: list[int] = []
+    for col in range(n):
+        bit = 1 << (n - 1 - col)
+        src = next((i for i, r in enumerate(work) if r & bit), None)
+        if src is None:
+            continue
+        piv = work.pop(src)
+        work = [r ^ piv if r & bit else r for r in work]
+        reduced = [r ^ piv if r & bit else r for r in reduced]
+        reduced.append(piv)
+        if not work:
+            break
+    return reduced, len(reduced)
+
+
 def check_parities(code: BinaryLinearCode, word: int) -> int:
     """The syndrome by definition: bit j is the parity of check row j
     over the word."""
@@ -80,6 +103,33 @@ def make_context(code_id: str) -> DecoderContext:
     base = c4_9() if code_id.endswith("36") else c4_10()
     variant = Variant.O if code_id.startswith("o") else Variant.E
     return DecoderContext(base, variant)
+
+
+@functools.lru_cache(maxsize=None)
+def cap_columns() -> tuple[tuple[int, ...], ...]:
+    """c4-10's ten columns of H, extended greedily, in sorted order, by the
+    points of PG(3, 4) that no two chosen columns span: a cap, any three
+    of its columns independent, of 17 points."""
+    points = [p for p in itertools.product(gf4.ELEMENTS, repeat=4)
+              if any(p) and next(a for a in p if a) == 1]
+    columns, multiples, spanned = [], {0}, {0}
+    for col in [*zip(*c4_10().parity_check), *points]:
+        if gf4.pack(col) not in spanned:
+            new = {gf4.pack(gf4.scale(e, col)) for e in gf4.NONZERO}
+            spanned |= {s ^ t for s in new for t in multiples}
+            multiples |= new
+            columns.append(col)
+    assert len(columns) == 17
+    return tuple(columns)
+
+
+def systematic_c4(name: str, columns) -> QuaternaryCode:
+    """The GF(4) code whose H has the given columns, the first four I, and
+    whose basis rows are [A^T | I] for A the other columns."""
+    a = columns[4:]
+    basis = [[*col, *(int(j == i) for j in range(len(a)))]
+             for i, col in enumerate(a)]
+    return QuaternaryCode(name, basis, list(zip(*columns)))
 
 
 def run_cli(argv, **kwargs) -> subprocess.CompletedProcess:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 from projcode import bitlin
 from projcode.bitlin import BinaryLinearCode, CosetTable
-from projcode.quaternary import QuaternaryCode, parse_gf4_matrix
+from projcode.quaternary import (QuaternaryCode, c4_9, c4_10,
+                                 parse_gf4_matrix)
 
-from conftest import check_parities, code_equal, enumerated_distribution
+from conftest import (check_parities, code_equal, enumerated_distribution,
+                      reference_rref)
 
 
 def _repetition4():
@@ -109,6 +113,42 @@ def test_rref_preserves_row_space(rows):
     # idempotent
     again, r2 = bitlin.rref(reduced, 8)
     assert (again, r2) == (reduced, r)
+
+
+@st.composite
+def _row_lists(draw) -> tuple[list[int], int]:
+    """(rows, n): up to 8 rows of n <= 12 bits, some of them zero or the
+    sum of drawn rows, in a drawn order."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    sums = draw(st.lists(st.integers(0, (1 << len(rows)) - 1),
+                         max_size=8 - len(rows)))
+    rows += [functools.reduce(operator.xor, itertools.compress(
+        rows, (s >> i & 1 for i in range(len(rows)))), 0) for s in sums]
+    return draw(st.permutations(rows)), n
+
+
+@given(_row_lists())
+def test_rref_matches_the_column_sweep(rows_n):
+    rows, n = rows_n
+    assert bitlin.rref(rows, n) == reference_rref(rows, n)
+
+
+def test_rref_matches_the_column_sweep_on_the_codes(contexts):
+    codes = [ctx.binary_code for ctx in contexts.values()]
+    codes += [c4_9().image, c4_10().image]
+    for code in codes:
+        for rows in (code.generator, code.parity_rows):
+            assert bitlin.rref(rows, code.n) == reference_rref(rows, code.n)
+
+
+def test_rref_refuses_rows_wider_than_n():
+    for rows, n in (([0b1, 0b10000], 4), ([0b1], 0), ([0b11, -1], 2)):
+        with pytest.raises(ValueError, match=f"row .* does not fit in {n} "
+                                             f"bits"):
+            bitlin.rref(rows, n)
+        with pytest.raises(ValueError, match="does not fit"):
+            bitlin.rank(rows, n)
 
 
 def test_code_requires_independent_rows():

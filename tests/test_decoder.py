@@ -20,9 +20,10 @@ from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
 from projcode.projection import Variant, project, select_candidate
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
-from conftest import (BINARY_IDS, BRANCH_ERRORS, check_parities,
-                      make_context, minority_columns, plant,
-                      reference_parity_profile, word_from_rows)
+from conftest import (BINARY_IDS, BRANCH_ERRORS, cap_columns,
+                      check_parities, make_context, minority_columns, plant,
+                      reference_parity_profile, systematic_c4,
+                      word_from_rows)
 from golden import DECODE_EXAMPLES
 
 
@@ -186,33 +187,6 @@ def test_oversized_word_rejected(contexts):
 # ---------------------------------------------------------------------------
 # the syndrome read in place
 
-@functools.lru_cache(maxsize=None)
-def _cap_columns() -> tuple[tuple[int, ...], ...]:
-    """c4-10's ten columns of H, extended greedily, in sorted order, by the
-    points of PG(3, 4) that no two chosen columns span: a cap, any three
-    of its columns independent, of 17 points."""
-    points = [p for p in itertools.product(gf4.ELEMENTS, repeat=4)
-              if any(p) and next(a for a in p if a) == 1]
-    columns, multiples, spanned = [], {0}, {0}
-    for col in [*zip(*c4_10().parity_check), *points]:
-        if gf4.pack(col) not in spanned:
-            new = {gf4.pack(gf4.scale(e, col)) for e in gf4.NONZERO}
-            spanned |= {s ^ t for s in new for t in multiples}
-            multiples |= new
-            columns.append(col)
-    assert len(columns) == 17
-    return tuple(columns)
-
-
-def _systematic_c4(name: str, columns) -> QuaternaryCode:
-    """The GF(4) code whose H has the given columns, the first four I, and
-    whose basis rows are [A^T | I] for A the other columns."""
-    a = columns[4:]
-    basis = [[*col, *(int(j == i) for j in range(len(a)))]
-             for i, col in enumerate(a)]
-    return QuaternaryCode(name, basis, list(zip(*columns)))
-
-
 @pytest.mark.parametrize("code_id", BINARY_IDS + ("m11", "m16"))
 def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
     # five tables read in place for the four codes; n = 44 and 64 call
@@ -221,7 +195,7 @@ def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
         ctx = contexts[code_id]
     else:
         m = int(code_id[1:])
-        ctx = DecoderContext(_systematic_c4(f"cap-{m}", _cap_columns()[:m]),
+        ctx = DecoderContext(systematic_c4(f"cap-{m}", cap_columns()[:m]),
                              Variant.O)
     code = ctx.binary_code
     rng = random.Random(ctx.n)
@@ -242,9 +216,9 @@ def test_dependent_columns_of_h_are_refused():
     # those columns
     h = list(zip(*c4_10().parity_check))
     h[9] = tuple(a ^ b for a, b in zip(h[0], h[1]))
-    triple = _systematic_c4("H_10 = H_1 + H_2", h)
+    triple = systematic_c4("H_10 = H_1 + H_2", h)
     h[9] = gf4.scale(gf4.OMEGA, h[0])
-    late_pair = _systematic_c4("H_10 = w H_1", h)
+    late_pair = systematic_c4("H_10 = w H_1", h)
     pair = QuaternaryCode("H_2 = w H_1", [(gf4.OMEGA, 1, 0, 0, 0)],
                           [(1, gf4.OMEGA, 0, 0, 0), (0, 0, 1, 0, 0),
                            (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])

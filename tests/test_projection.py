@@ -17,9 +17,10 @@ from projcode.projection import (NIBBLE_VALUE, PHI_BLOCKS,
                                  select_candidate)
 from projcode.quaternary import c4_9, c4_10
 
-from conftest import (BINARY_IDS, code_equal, enumerated_has_projection,
+from conftest import (BINARY_IDS, cap_columns, code_equal,
+                      enumerated_distribution, enumerated_has_projection,
                       minority_columns, reference_parity_profile,
-                      reference_project, word_from_rows)
+                      reference_project, systematic_c4, word_from_rows)
 from golden import (COSET_TABLE, DECODE_EXAMPLES, PROJ_EXAMPLE_VALUE,
                     PROJ_EXAMPLE_WORD)
 
@@ -191,6 +192,16 @@ def test_generator_projections_span_the_quaternary_code(contexts):
             assert project(row, ctx.m) == qrow
         for row in gens[c4.r:]:
             assert project(row, ctx.m) == (0,) * c4.m
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_closed_form_matches_enumeration_at_other_m(m, variant):
+    # the first m cap columns give k = 3m - 8 <= 16; odd and even m take
+    # both forms of d's extra row, and every C4 here has A_1 = A_2 = 0
+    code = construct(systematic_c4(f"cap-{m}", cap_columns()[:m]), variant)
+    assert code.k == 3 * m - 8
+    assert code.weight_distribution() == enumerated_distribution(code)
 
 
 def test_construct_matches_context(contexts):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from projcode import gf4
-from projcode.bitlin import xor_span
+from projcode.bitlin import BinaryLinearCode, xor_span
 from projcode.decoder import UNSOLVABLE, DecoderContext, _solve_tables
 from projcode.projection import Variant, construct
 from projcode.quaternary import (_G9, _G10, QuaternaryCode, c4_9, c4_10,
@@ -225,6 +225,32 @@ def test_solve_tables_wait_for_a_decoder():
         assert (a is None) == (b is None)
         if a is not None:
             assert a[2] is b[2]
+
+
+def test_one_enumeration_per_code(monkeypatch):
+    # a fresh c4-9's distribution, minimum distance and both binary
+    # distributions read one enumeration of its image, kept as one tuple
+    enumerated, read = [], []
+
+    def recorded(method, log):
+        def wrapper(self):
+            log.append(method(self))
+            return log[-1]
+        return wrapper
+
+    monkeypatch.setattr(BinaryLinearCode, "weight_distribution", recorded(
+        BinaryLinearCode.weight_distribution, enumerated))
+    monkeypatch.setattr(QuaternaryCode, "weight_distribution", recorded(
+        QuaternaryCode.weight_distribution, read))
+    code = c4_9.__wrapped__()
+    code.weight_distribution()
+    assert code.min_distance() == 4
+    for variant in Variant:
+        construct(code, variant).weight_distribution()
+    assert len(enumerated) == 1
+    assert len(read) == 4
+    assert all(dist is read[0] for dist in read)
+    assert read[0] == enumerated[0][:2 * code.m + 1:2]
 
 
 def test_colmul_holds_the_packed_column_multiples(q9, q10):
