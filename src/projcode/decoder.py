@@ -23,8 +23,8 @@ decodes every case:
 
 1. Solve s = sum of e_c H_c over M, plus at most one other column x when
    p <= 1 (two errors in one even column).  Any three columns of H are
-   independent, which the context checks, so the solution is unique: one
-   byte of M's solve table, UNSOLVABLE for none.
+   independent, which ``QuaternaryCode`` checks, so the solution is
+   unique: one byte of M's solve table, UNSOLVABLE for none.
 2. Repair.  A repaired column's error projects to e_c; it is one bit in
    a minority column, the first entry only for e_c = 0, and two bits in
    x.  The context holds these errors shifted into place, so the byte
@@ -143,72 +143,31 @@ _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 
 # the solve tables of column pairs and triples by their columns, packed as
 # H_i << 8 | H_j and H_i << 16 | H_j << 8 | H_k, which differ because no
-# kept table has a zero column: a table depends on nothing else, and
-# c4-9's H is the first nine columns of c4-10's, so the two codes share
-# 36 pair and 84 triple tables
+# column of a cap is zero: a table depends on nothing else, and c4-9's H
+# is the first nine columns of c4-10's, so the two codes share 36 pair
+# and 84 triple tables
 _SHARED: dict[int, bytes] = {}
 
 
 @lru_cache(maxsize=None)
-def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
-    """The solve tables of ``c4``, built once for its O and E contexts and
-    kept, like the ``c4_9`` and ``c4_10`` codes, for the process's life:
-    those of M = () and of each (i,) by i, then the pairs' and the
-    triples' in ``combinations`` order.  Byte s of M's table is the
-    decomposition of the syndrome s over M, UNSOLVABLE for none:
-    e1 << 4 | e2 << 2 | e3 for a triple, with e3 = 0 for a pair, and for M
-    of at most one column i plus one other column x, (3 (x - 1) + ex) << 2
-    | e1, 0 for no x: below UNSOLVABLE for m <= 16.  ValueError naming two
-    or three dependent columns of H, whose table solves fewer syndromes
-    than they have coefficient vectors."""
+def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
+    """The solve tables of ``c4`` by minority set, built once for its O
+    and E contexts and kept, like the ``c4_9`` and ``c4_10`` codes, for
+    the process's life: M = (), each (i,), and each pair followed by the
+    triples that extend it.  Byte s of M's table is the decomposition of
+    the syndrome s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3
+    for a triple, with e3 = 0 for a pair, and for M of at most one column
+    i plus one other column x, (3 (x - 1) + ex) << 2 | e1, 0 for no x:
+    below UNSOLVABLE for m <= 16.  H is a cap, so each decomposition is
+    unique."""
     colmul, m = c4.colmul, c4.m
     blank = bytes([UNSOLVABLE]) * 256
-
-    def checked(table: bytearray, *columns: int) -> bytes:
-        if table.count(UNSOLVABLE) > 256 - 4 ** len(columns):
-            raise ValueError(f"{c4.name}: columns "
-                             f"{', '.join(map(str, columns))} of H are "
-                             "dependent")
-        return bytes(table)
-
-    # every pair is checked before any triple, so a dependent pair is
-    # named as a pair, not as a triple that holds it
-    columns = range(1, m + 1)
-    pairs = []
-    for i, j in combinations(columns, 2):
-        key = colmul[i][1] << 8 | colmul[j][1]
-        pair = _SHARED.get(key)
-        if pair is None:
-            table = bytearray(blank)
-            for e1, si in enumerate(colmul[i]):
-                for e2, sj in enumerate(colmul[j]):
-                    table[si ^ sj] = e1 << 4 | e2 << 2
-            pair = _SHARED[key] = checked(table, i, j)
-        pairs.append(pair)
-    triples = []
-    for (i, j), pair in zip(combinations(columns, 2), pairs):
-        # the 16 sums e1 H_i + e2 H_j and their bytes
-        sums = [(si ^ sj, e1 << 4 | e2 << 2)
-                for e1, si in enumerate(colmul[i])
-                for e2, sj in enumerate(colmul[j])]
-        for k in range(j + 1, m + 1):
-            key = colmul[i][1] << 16 | colmul[j][1] << 8 | colmul[k][1]
-            table = _SHARED.get(key)
-            if table is None:
-                table = bytearray(pair)
-                _, k1, k2, k3 = colmul[k]
-                for s, code in sums:
-                    table[s ^ k1] = code | 1
-                    table[s ^ k2] = code | 2
-                    table[s ^ k3] = code | 3
-                table = _SHARED[key] = checked(table, i, j, k)
-            triples.append(table)
     # ex H_x and its byte's high bits, for each x and nonzero ex
     extra = []
     for x in range(1, m + 1):
         for ex in gf4.NONZERO:
             extra.append((colmul[x][ex], 3 * (x - 1) + ex << 2))
-    singles = []
+    tables = {}
     for i in range(m + 1):
         # M = (i,), whose column is no x, or M = () for i = 0
         table = bytearray(blank)
@@ -217,8 +176,32 @@ def _solve_tables(c4: QuaternaryCode) -> tuple[tuple[bytes, ...], ...]:
             table[s1] = e1
             for s, code in others:
                 table[s1 ^ s] = code | e1
-        singles.append(bytes(table))
-    return tuple(singles), tuple(pairs), tuple(triples)
+        tables[(i,) if i else ()] = bytes(table)
+    for i, j in combinations(range(1, m + 1), 2):
+        # the 16 sums e1 H_i + e2 H_j and their bytes
+        sums = [(si ^ sj, e1 << 4 | e2 << 2)
+                for e1, si in enumerate(colmul[i])
+                for e2, sj in enumerate(colmul[j])]
+        key = colmul[i][1] << 8 | colmul[j][1]
+        pair = _SHARED.get(key)
+        if pair is None:
+            table = bytearray(blank)
+            for s, code in sums:
+                table[s] = code
+            pair = _SHARED[key] = bytes(table)
+        tables[i, j] = pair
+        for k in range(j + 1, m + 1):
+            _, k1, k2, k3 = colmul[k]
+            table = _SHARED.get(key << 8 | k1)
+            if table is None:
+                table = bytearray(pair)
+                for s, code in sums:
+                    table[s ^ k1] = code | 1
+                    table[s ^ k2] = code | 2
+                    table[s ^ k3] = code | 3
+                table = _SHARED[key << 8 | k1] = bytes(table)
+            tables[i, j, k] = table
+    return tables
 
 
 class DecoderContext:
@@ -276,29 +259,19 @@ class DecoderContext:
         # column's 1111 when p = 1 and 0 otherwise: at p >= 2 its
         # complement would make an error of weight 4 or more.  No entry
         # depends on the variant.
-        odd, key_mask = self._odd_repair, self._key_mask
-        profiles: list[tuple | None] = [None] * (1 << m - 1)
-        self._profiles = profiles
-
-        def enter(minority, table, a, b, c):
+        odd = self._odd_repair
+        self._profiles: list[tuple | None] = [None] * (1 << m - 1)
+        for minority, table in _solve_tables(c4).items():
             p = len(minority)
             if 2 * p >= m:      # a tie, or the complement is the minority
-                return
-            pattern = 0
-            for col in minority:
-                pattern |= 1 << col - 1
-            profiles[(pattern ^ pattern >> 1) & key_mask] = (
-                m, p, table, a, b, c, masks[minority[0]] if p == 1 else 0)
-
-        singles, pairs, triples = _solve_tables(c4)
-        for i in range(m + 1):      # M = (i,), or M = () for i = 0
-            enter((i,) if i else (), singles[i], self._even_repair,
-                  self._even_mask, odd[i])
-        for (i, j), table in zip(combinations(range(1, m + 1), 2), pairs):
-            enter((i, j), table, odd[i], odd[j], (0,))
-        for (i, j, k), table in zip(combinations(range(1, m + 1), 3),
-                                    triples):
-            enter((i, j, k), table, odd[i], odd[j], odd[k])
+                continue
+            pattern = sum(1 << col - 1 for col in minority)
+            # sum(minority) is M's column when p <= 1, 0 for M = (); a
+            # pair's c is odd[0] = (0,)
+            repairs = ((self._even_repair, self._even_mask, odd[sum(minority)])
+                       if p < 2 else [odd[col] for col in (*minority, 0)][:3])
+            self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
+                m, p, table, *repairs, masks[minority[0]] if p == 1 else 0)
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's.  Read

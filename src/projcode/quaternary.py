@@ -7,15 +7,17 @@ phi images span ``image``, a binary code of every weight doubled.
 
 Syndromes are taken with the plain (unconjugated) product y H^T and
 packed into 8 bits with ``gf4.pack``, check row 1 highest.  Any three
-columns of H are linearly independent, which is what makes syndromes of
-up to three column errors uniquely decomposable: the decoder's solve
-tables, built from ``colmul``, read each decomposition from one byte.
+columns of H are linearly independent (H is a cap in PG(3,4)), which
+``QuaternaryCode`` checks and which makes syndromes of up to three
+column errors uniquely decomposable: the decoder's solve tables, built
+from ``colmul``, read each decomposition from one byte.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import combinations
 
 from . import gf4
 from .bitlin import BinaryLinearCode, matrix_rows, min_weight, rank
@@ -36,7 +38,8 @@ def _check_symbols(rows: Iterable[Sequence[int]]) -> None:
 
 
 class QuaternaryCode:
-    """A GF(4)-linear [m, k] code with a 4-row parity check."""
+    """A GF(4)-linear [m, k] code with a 4-row parity check, any three of
+    whose columns are independent."""
 
     def __init__(self, name: str, basis: Sequence[GF4Vector],
                  parity_check: Sequence[GF4Vector]):
@@ -49,7 +52,26 @@ class QuaternaryCode:
         self.parity_check = tuple(tuple(h) for h in parity_check)
         self.m = len(self.parity_check[0])
         self.r = len(self.generators)
-        self._validate()
+        for h in self.parity_check:
+            if len(h) != self.m:
+                raise ValueError("ragged parity-check matrix")
+        # packed syndrome of e * H_i for every column i (1-based) and scalar e
+        self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+        for col in zip(*self.parity_check):
+            self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
+                                     for e in gf4.ELEMENTS))
+        # the basis rows: w times a codeword is a codeword
+        for g in self.generators[::2]:
+            if len(g) != self.m:
+                raise ValueError("ragged generator matrix")
+            s = 0
+            for multiples, a in zip(self.colmul[1:], g):
+                s ^= multiples[a]
+            if s:
+                raise ValueError(
+                    f"{name}: generator {gf4.format_vector(g)} fails "
+                    f"the parity check (syndrome "
+                    f"{gf4.format_vector(gf4.unpack(s, 4))})")
         self._distribution: tuple[int, ...] | None = None
         # phi of each generator, 3 bits per symbol; a dependent basis,
         # which BinaryLinearCode rejects, is reported in this code's terms
@@ -64,26 +86,31 @@ class QuaternaryCode:
                 raise
             raise ValueError(f"{name}: basis rows are dependent: rank "
                              f"{found // 2} < {len(basis)}") from None
-        # packed syndrome of e * H_i for every column i (1-based) and scalar e
-        self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
-        for col in zip(*self.parity_check):
-            self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
-                                     for e in gf4.ELEMENTS))
+        dependent = self._dependent_columns()
+        if dependent:
+            raise ValueError(f"{name}: columns "
+                             f"{', '.join(map(str, dependent))} of H are "
+                             "dependent")
 
-    def _validate(self) -> None:
-        for h in self.parity_check:
-            if len(h) != self.m:
-                raise ValueError("ragged parity-check matrix")
-        # the basis rows: w times a codeword is a codeword
-        for g in self.generators[::2]:
-            if len(g) != self.m:
-                raise ValueError("ragged generator matrix")
-            s = self.syndrome(g)
-            if s:
-                raise ValueError(
-                    f"{self.name}: generator {gf4.format_vector(g)} fails "
-                    f"the parity check (syndrome "
-                    f"{gf4.format_vector(gf4.unpack(s, 4))})")
+    def _dependent_columns(self) -> tuple[int, ...]:
+        """The first columns of H found dependent, () for a cap: column by
+        column, a zero column alone or two proportional columns; then three
+        columns with H_i + e H_j a multiple of H_k.  So a dependent pair
+        is named as a pair, not as a triple that holds it."""
+        colmul = self.colmul
+        seen: dict[int, int] = {}       # each column's nonzero multiples
+        for i in range(1, self.m + 1):
+            if not colmul[i][1]:
+                return (i,)
+            for s in colmul[i][1:]:
+                if seen.setdefault(s, i) != i:
+                    return seen[s], i
+        for i, j in combinations(range(1, self.m + 1), 2):
+            for s in colmul[j][1:]:
+                k = seen.get(colmul[i][1] ^ s)
+                if k:
+                    return tuple(sorted((i, j, k)))
+        return ()
 
     # -- basic queries -----------------------------------------------------
 

@@ -209,25 +209,24 @@ def test_syndrome_packed_matches_the_syndrome(contexts, code_id):
 
 def test_dependent_columns_of_h_are_refused():
     # c4-10's H with column 10 replaced by column 1 + column 2 or by
-    # w column 1, and an m = 5 code with H_2 = w H_1: no cap, so both
-    # contexts refuse each code, naming the dependent columns, a pair as
-    # a pair though triples holding it come first in ``combinations``
-    # order; the second refusal shows that the first kept no table of
-    # those columns
-    h = list(zip(*c4_10().parity_check))
-    h[9] = tuple(a ^ b for a, b in zip(h[0], h[1]))
-    triple = systematic_c4("H_10 = H_1 + H_2", h)
-    h[9] = gf4.scale(gf4.OMEGA, h[0])
-    late_pair = systematic_c4("H_10 = w H_1", h)
-    pair = QuaternaryCode("H_2 = w H_1", [(gf4.OMEGA, 1, 0, 0, 0)],
-                          [(1, gf4.OMEGA, 0, 0, 0), (0, 0, 1, 0, 0),
-                           (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    for code, columns in ((triple, "1, 2, 10"), (late_pair, "1, 10"),
-                          (pair, "1, 2")):
-        for variant in Variant:
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{code.name}: columns {columns} of H are dependent")):
-                DecoderContext(code, variant)
+    # w column 1, and an m = 5 code with H_2 = w H_1: no cap, so the
+    # quaternary code itself is refused, naming the dependent columns, a
+    # pair as a pair though triples holding it come first in
+    # ``combinations`` order; with no code there is no binary code (the
+    # first would be a [40,22,6] code) and no decoder context
+    h = list(zip(*c4_10().parity_check))[:9]
+    plane = [*h, tuple(a ^ b for a, b in zip(h[0], h[1]))]
+    line = [*h, gf4.scale(gf4.OMEGA, h[0])]
+    for name, columns, named in (("H_10 = H_1 + H_2", plane, "1, 2, 10"),
+                                 ("H_10 = w H_1", line, "1, 10")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: columns {named} of H are dependent")):
+            systematic_c4(name, columns)
+    with pytest.raises(ValueError, match=re.escape(
+            "H_2 = w H_1: columns 1, 2 of H are dependent")):
+        QuaternaryCode("H_2 = w H_1", [(gf4.OMEGA, 1, 0, 0, 0)],
+                       [(1, gf4.OMEGA, 0, 0, 0), (0, 0, 1, 0, 0),
+                        (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
 
 
 @pytest.mark.parametrize("code_id, bits", [
@@ -539,10 +538,8 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     # on the variant, so the two contexts' entries are equal slot by slot
     other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
     assert other._profiles == ctx._profiles
-    singles, pairs, triples = _solve_tables(ctx.c4)
+    tables = _solve_tables(ctx.c4)
     m, columns = ctx.m, range(1, ctx.m + 1)
-    by_pair = dict(zip(itertools.combinations(columns, 2), pairs))
-    by_triple = dict(zip(itertools.combinations(columns, 3), triples))
     for p in range(4):
         for minority in itertools.combinations(columns, p):
             pattern = sum(1 << c - 1 for c in minority)
@@ -551,18 +548,16 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
             _, _, table, a, b, c, last = entry
             assert entry[:2] == (m, p)
             assert table is other._profiles[slot][2]
+            assert table is tables[minority]
             assert last == (0b1111 << 4 * (m - minority[0]) if p == 1
                             else 0)
             if p == 2:
-                assert table is by_pair[minority]
                 assert (a, b, c) == (*(ctx._odd_repair[col]
                                        for col in minority), (0,))
             elif p == 3:
-                assert table is by_triple[minority]
                 assert (a, b, c) == tuple(ctx._odd_repair[col]
                                           for col in minority)
             else:
-                assert table is singles[minority[0] if p else 0]
                 assert (a, b) == (ctx._even_repair, ctx._even_mask)
                 assert c == (ctx._odd_repair[minority[0]] if p else (0,))
 

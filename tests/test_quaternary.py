@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, xor_span
 from projcode.decoder import UNSOLVABLE, DecoderContext, _solve_tables
 from projcode.projection import Variant, construct
-from projcode.quaternary import (_G9, _G10, QuaternaryCode, c4_9, c4_10,
+from projcode.quaternary import (_G9, _G10, _H9, QuaternaryCode, c4_9, c4_10,
                                  format_gf4_matrix, parse_gf4_matrix)
 
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
@@ -111,16 +114,15 @@ def _vector(m: int, terms) -> list[int]:
     return y
 
 
-def _solve(code: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
-    """The decoder's solve tables of ``code`` by their set of columns."""
-    singles, pairs, triples = _solve_tables(code)
+@pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
+def test_solve_tables_are_keyed_by_column_set(code):
+    # one table for M = (), each single column, each pair and each triple
     columns = range(1, code.m + 1)
-    assert len(singles) == code.m + 1
-    assert len(pairs) == math.comb(code.m, 2)
-    assert len(triples) == math.comb(code.m, 3)
-    return {(): singles[0], **{(i,): singles[i] for i in columns},
-            **dict(zip(itertools.combinations(columns, 2), pairs)),
-            **dict(zip(itertools.combinations(columns, 3), triples))}
+    tables = _solve_tables(code)
+    assert set(tables) == {
+        minority for p in range(4)
+        for minority in itertools.combinations(columns, p)}
+    assert len(tables) == sum(math.comb(code.m, p) for p in range(4))
 
 
 def _check_table(table: bytes, solved: dict[int, int], count: int) -> None:
@@ -137,7 +139,7 @@ def test_match_single_column_exhaustive(code):
     # column x: e1 H_i + ex H_x packs as (3 (x - 1) + ex) << 2 | e1, with
     # 0 for no x, by the independent syndrome
     m = code.m
-    solve = _solve(code)
+    solve = _solve_tables(code)
     for minority in [()] + [(i,) for i in range(1, m + 1)]:
         solved = {}
         for e1 in gf4.ELEMENTS if minority else (0,):
@@ -155,7 +157,7 @@ def test_match_single_column_exhaustive(code):
 
 def test_match_single_column_rejects_double_errors(q9):
     # a sum of two distinct column multiples is never a single multiple
-    table = _solve(q9)[()]
+    table = _solve_tables(q9)[()]
     for (i, j) in itertools.combinations(range(1, 10), 2):
         assert table[q9.syndrome(_vector(9, [(i, 1), (j, 2)]))] == UNSOLVABLE
 
@@ -165,7 +167,7 @@ def test_solve_two_columns_exhaustive(code):
     # the p = 2 solve: every pair's 16 coefficient vectors, one byte each,
     # e1 << 4 | e2 << 2 with a third coefficient of 0
     m = code.m
-    solve = _solve(code)
+    solve = _solve_tables(code)
     for pair in itertools.combinations(range(1, m + 1), 2):
         solved = {}
         for e1, e2 in itertools.product(gf4.ELEMENTS, repeat=2):
@@ -178,7 +180,7 @@ def test_solve_three_columns_exhaustive(q9, q10):
     # the p = 3 solve: every triple's 64 coefficient vectors, one byte each
     for code in (q9, q10):
         m = code.m
-        solve = _solve(code)
+        solve = _solve_tables(code)
         for triple in itertools.combinations(range(1, m + 1), 3):
             solved = {}
             for e1, e2, e3 in itertools.product(gf4.ELEMENTS, repeat=3):
@@ -189,7 +191,7 @@ def test_solve_three_columns_exhaustive(q9, q10):
 
 def test_solve_columns_unsolvable(q9):
     # a pure column-4 multiple cannot be written on columns {1, 2}
-    byte = _solve(q9)[1, 2][q9.syndrome(_vector(9, [(4, 2)]))]
+    byte = _solve_tables(q9)[1, 2][q9.syndrome(_vector(9, [(4, 2)]))]
     assert byte == UNSOLVABLE
 
 
@@ -199,8 +201,8 @@ def test_codes_share_the_tables_of_common_triples(q9, q10):
     # for each pair and each triple of those columns, whichever code built
     # it first
     assert [h[:9] for h in q10.parity_check] == list(q9.parity_check)
-    solve10 = _solve(q10)
-    shared = [(columns, table) for columns, table in _solve(q9).items()
+    solve10 = _solve_tables(q10)
+    shared = [(columns, table) for columns, table in _solve_tables(q9).items()
               if len(columns) >= 2]
     assert len(shared) == 36 + 84
     for columns, table in shared:
@@ -221,10 +223,11 @@ def test_solve_tables_wait_for_a_decoder():
     assert _solve_tables.cache_info().misses == misses + 1
     second = DecoderContext(code, Variant.E)
     assert _solve_tables.cache_info().misses == misses + 1
+    tables = {id(table) for table in _solve_tables(code).values()}
     for a, b in zip(first._profiles, second._profiles):
         assert (a is None) == (b is None)
         if a is not None:
-            assert a[2] is b[2]
+            assert a[2] is b[2] and id(a[2]) in tables
 
 
 def test_one_enumeration_per_code(monkeypatch):
@@ -270,6 +273,34 @@ def test_generators_are_the_basis_and_its_w_multiples(q9, q10):
         assert code.generators[::2] == tuple(parse_gf4_matrix(basis))
         assert code.generators[1::2] == tuple(gf4.scale(gf4.OMEGA, b)
                                               for b in code.generators[::2])
+
+
+@given(st.integers(3, 8).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from(gf4.ELEMENTS), min_size=m, max_size=m),
+    min_size=4, max_size=4)))
+@example([list(row[:8]) for row in parse_gf4_matrix(_H9)])   # a cap
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]])      # a zero column
+def test_cap_check_matches_brute_force(h):
+    # H is refused exactly when a nonzero coefficient vector on one, two
+    # or three columns sums to zero, and the columns it names carry such
+    # a vector with no zero coefficient
+    m = len(h[0])
+    dependent = set()
+    for p in (1, 2, 3):
+        for columns in itertools.combinations(range(1, m + 1), p):
+            for values in itertools.product(gf4.NONZERO, repeat=p):
+                y = _vector(m, zip(columns, values))
+                if not any(gf4.plain_inner(y, row) for row in h):
+                    dependent.add(columns)
+    try:
+        QuaternaryCode("h", [], h)
+    except ValueError as exc:
+        named = re.fullmatch(r"h: columns ([\d, ]+) of H are dependent",
+                             str(exc))
+        assert named and dependent
+        assert tuple(map(int, named[1].split(", "))) in dependent
+    else:
+        assert not dependent
 
 
 def test_constructor_rejects_bad_matrices(q9):
