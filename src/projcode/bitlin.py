@@ -92,36 +92,55 @@ def format_matrix(rows: Iterable[int], n: int, group: int) -> str:
 # ---------------------------------------------------------------------------
 # GF(2) elimination
 
-def rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
-    """Reduced row echelon form over GF(2): (nonzero reduced rows, rank),
-    the rows in pivot order, row i's leading bit its pivot.  Each row loses
-    the kept pivots it holds; a nonzero remainder's leading bit is a new
-    pivot, which the kept rows lose.  ValueError naming a row that does not
-    fit in n bits."""
-    basis: dict[int, int] = {}          # pivot bit -> its row
+def _echelon(rows: Iterable[int], n: int) -> dict[int, int]:
+    """An echelon basis keyed by leading bit length: each row XORs in the
+    kept row of its leading bit until that bit is new or the row vanishes.
+    ValueError for a row that does not fit in n bits."""
+    basis: dict[int, int] = {}
     for row in rows:
         if row >> n:
             raise ValueError(f"row {row:#b} does not fit in {n} bits")
-        for bit, piv in basis.items():
+        while row and (lead := row.bit_length()) in basis:
+            row ^= basis[lead]
+        if row:
+            basis[lead] = row
+    return basis
+
+
+def rref(rows: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Reduced row echelon form over GF(2): (nonzero reduced rows, rank) in
+    pivot order, from the echelon basis back-substituted lowest pivot first."""
+    done: dict[int, int] = {}           # pivot bit -> its reduced row
+    for lead, row in sorted(_echelon(rows, n).items()):
+        for bit, piv in done.items():
             if row & bit:
                 row ^= piv
-        if row:
-            lead = 1 << row.bit_length() - 1
-            for bit, piv in basis.items():
-                if piv & lead:
-                    basis[bit] = piv ^ row
-            basis[lead] = row
-    reduced = sorted(basis.values(), reverse=True)
-    return reduced, len(reduced)
+        done[1 << lead - 1] = row
+    return list(done.values())[::-1], len(done)
 
 
 def rank(rows: Sequence[int], n: int) -> int:
-    return rref(rows, n)[1]
+    return len(_echelon(rows, n))
 
 
-def orthogonal(rows: Iterable[int], checks: Sequence[int]) -> bool:
-    """True iff every row meets every check in an even number of places."""
-    return not any((g & h).bit_count() & 1 for g in rows for h in checks)
+def orthogonal(rows: Sequence[int], checks: Sequence[int]) -> bool:
+    """True iff every row meets every check in an even number of places:
+    a check copied into each power-of-two slot of the packed rows meets all
+    in one AND; halving folds leave each slot's parity in its low bit."""
+    width = max(map(int.bit_length, (*rows, *checks)), default=0)
+    slot = 1 << (width - 1).bit_length()
+    packed = ones = 0                   # ones: the low bit of every slot
+    for g in rows:
+        packed = packed << slot | g
+        ones = ones << slot | 1
+    folds = [slot >> j for j in range(1, slot.bit_length())]
+    for h in checks:
+        x = packed & h * ones
+        for shift in folds:
+            x ^= x >> shift
+        if x & ones:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +187,11 @@ class BinaryLinearCode:
         self.k = len(self.generator)
         self._parity_rows = given = (None if parity_rows is None
                                      else tuple(parity_rows))
-        reduced, found = rref(self.generator, n)
-        if found != self.k:
-            raise ValueError(
-                f"generator rows are dependent: rank {found} < {self.k}")
-        self._reduced = reduced
-        self._pivots = [n - r.bit_length() for r in reduced]
+        leads = sorted(_echelon(self.generator, n), reverse=True)
+        if len(leads) != self.k:
+            raise ValueError(f"generator rows are dependent: rank "
+                             f"{len(leads)} < {self.k}")
+        self._pivots = [n - lead for lead in leads]
         if given is not None:
             if len(given) != n - self.k or rank(given, n) != len(given):
                 raise ValueError(f"parity rows are not {n - self.k} "
@@ -200,16 +218,13 @@ class BinaryLinearCode:
     def parity_rows(self) -> tuple[int, ...]:
         """(n-k) parity-check rows, given or derived from the generator."""
         if self._parity_rows is None:
-            pivot_set = set(self._pivots)
-            free = [c for c in range(self.n) if c not in pivot_set]
-            rows = []
-            for fc in free:
-                h = 1 << (self.n - 1 - fc)
-                for i, pc in enumerate(self._pivots):
-                    if (self._reduced[i] >> (self.n - 1 - fc)) & 1:
-                        h |= 1 << (self.n - 1 - pc)
-                rows.append(h)
-            self._parity_rows = tuple(rows)
+            # free column c's check: c and the pivots whose rows hold c
+            n, reduced = self.n, rref(self.generator, self.n)[0]
+            self._parity_rows = tuple(
+                1 << n - 1 - c | sum(1 << n - 1 - pc for pc, row
+                                     in zip(self._pivots, reduced)
+                                     if row >> n - 1 - c & 1)
+                for c in range(n) if c not in self._pivots)
         return self._parity_rows
 
     def syndrome(self, word: int) -> int:

@@ -33,10 +33,6 @@ _SYMBOLS = "01wW"
 _FROM_SYMBOL = {"0": 0, "1": 1, "w": 2, "W": 3}
 
 
-def mul(a: int, b: int) -> int:
-    return _MUL[a][b]
-
-
 def scale(c: int, x: Sequence[int]) -> tuple[int, ...]:
     """Scalar multiple c*x."""
     row = _MUL[c]
@@ -57,20 +53,16 @@ def format_element(a: int) -> str:
     return _SYMBOLS[a]
 
 
-def parse_element(token: str) -> int:
-    try:
-        return _FROM_SYMBOL[token]
-    except KeyError:
-        raise ValueError(f"not a GF(4) symbol: {token!r}") from None
-
-
 def format_vector(x: Iterable[int], sep: str = " ") -> str:
     return sep.join(_SYMBOLS[a] for a in x)
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
     """Parse a vector of 0/1/w/W symbols, whitespace optional."""
-    return tuple(parse_element(ch) for ch in text if not ch.isspace())
+    try:
+        return tuple(map(_FROM_SYMBOL.__getitem__, "".join(text.split())))
+    except KeyError as exc:
+        raise ValueError(f"not a GF(4) symbol: {exc.args[0]!r}") from None
 
 
 def pack(x: Sequence[int]) -> int:

@@ -141,14 +141,15 @@ def projection_checks(c4: QuaternaryCode, variant: Variant) -> list[int]:
     if not isinstance(variant, Variant):
         raise ValueError(f"not a Variant: {variant!r}")
     m = c4.m
-    synd = [0] * 8
-    for i in range(1, m + 1):
-        for bit in range(3):            # rows W, w, 1; row 0 projects to 0
-            s = c4.colmul[i][NIBBLE_VALUE[1 << bit]]
-            while s:                    # one pass per set syndrome bit
-                low = s & -s
-                synd[low.bit_length() - 1] |= 1 << 4 * (m - i) + bit
-                s ^= low
+    # per row label, its column syndromes as 8 binary digits a column, read
+    # as hex and shifted to the label's bit of the nibble; check j gathers
+    # bit j of every column syndrome, which is every eighth hex digit
+    spread = 0
+    for bit in range(3):                # rows W, w, 1; row 0 projects to 0
+        row = bytes([col[NIBBLE_VALUE[1 << bit]] for col in c4.colmul[1:]])
+        spread |= int(f"{int.from_bytes(row, 'big'):0{8 * m}b}", 16) << bit
+    digits = f"{spread:0{8 * m}x}"
+    synd = [int(digits[7 - j::8], 16) for j in range(8)]
     first = int("1000" * m, 2)
     if variant is Variant.O:
         first ^= 0xF << 4 * (m - 1)

@@ -55,11 +55,13 @@ class QuaternaryCode:
         for h in self.parity_check:
             if len(h) != self.m:
                 raise ValueError("ragged parity-check matrix")
-        # packed syndrome of e * H_i for every column i (1-based) and scalar e
+        # packed syndrome of e * H_i for every column i (1-based) and scalar
+        # e, symbolwise: w and W take a w + b to (a + b) w + a and b w + a + b
         self.colmul: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         for col in zip(*self.parity_check):
-            self.colmul.append(tuple(gf4.pack([gf4.mul(e, h) for h in col])
-                                     for e in gf4.ELEMENTS))
+            p = gf4.pack(col)
+            a, b = p >> 1 & 0x55, p & 0x55
+            self.colmul.append((0, p, (a ^ b) << 1 | a, b << 1 | a ^ b))
         # the basis rows: w times a codeword is a codeword
         for g in self.generators[::2]:
             if len(g) != self.m:

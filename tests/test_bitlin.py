@@ -7,7 +7,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projcode import bitlin
@@ -132,6 +132,86 @@ def _row_lists(draw) -> tuple[list[int], int]:
 def test_rref_matches_the_column_sweep(rows_n):
     rows, n = rows_n
     assert bitlin.rref(rows, n) == reference_rref(rows, n)
+
+
+@st.composite
+def _wide_row_lists(draw) -> tuple[list[int], int]:
+    """(rows, n): up to 24 rows of n <= 64 bits, their leading bits drawn
+    from a few, so that rows share them, plus zero rows and sums of drawn
+    rows, in a drawn order."""
+    n = draw(st.integers(0, 64))
+    rows = []
+    if n:
+        leads = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        for lead in draw(st.lists(st.sampled_from(leads), max_size=16)):
+            rows.append(1 << lead | draw(st.integers(0, (1 << lead) - 1)))
+    rows += [0] * draw(st.integers(0, 2))
+    sums = draw(st.lists(st.integers(0, (1 << len(rows)) - 1),
+                         max_size=24 - len(rows)))
+    rows += [functools.reduce(operator.xor, itertools.compress(
+        rows, (s >> i & 1 for i in range(len(rows)))), 0) for s in sums]
+    return draw(st.permutations(rows)), n
+
+
+@given(_wide_row_lists())
+def test_elimination_matches_the_column_sweep_to_64_bits(rows_n):
+    rows, n = rows_n
+    reduced, found = reference_rref(rows, n)
+    assert bitlin.rank(rows, n) == found
+    assert bitlin.rref(rows, n) == (reduced, found)
+    # the drawn rows that raise the rank, in drawn order, make a code
+    independent = []
+    for row in rows:
+        if reference_rref([*independent, row], n)[1] > len(independent):
+            independent.append(row)
+    code = BinaryLinearCode(independent, n)
+    assert code._pivots == [n - r.bit_length() for r in reduced]
+    checks = code.parity_rows
+    assert len(checks) == n - len(reduced)
+    assert reference_rref(checks, n)[1] == len(checks)
+    assert not any((g & h).bit_count() & 1 for g in independent
+                   for h in checks)
+
+
+@st.composite
+def _rows_and_checks(draw) -> tuple[list[int], list[int], bool]:
+    """(rows, checks, planted): up to 24 rows and 24 checks of at most 64
+    bits, bit 63 among the drawn ones; when ``planted``, the last row and
+    the last check meet in an odd number of places."""
+    width = draw(st.integers(0, 64))
+    word = st.integers(0, (1 << width) - 1)
+    if width:
+        top = 1 << width - 1
+        word = st.one_of(word, word.map(lambda v: v | top))
+    rows = draw(st.lists(word, max_size=24))
+    checks = draw(st.lists(word, max_size=24))
+    planted = bool(width and rows and checks and draw(st.booleans()))
+    if planted:
+        bit = 1 << draw(st.integers(0, width - 1))
+        rows[-1] |= bit
+        if not (rows[-1] & checks[-1]).bit_count() & 1:
+            checks[-1] ^= bit
+    return rows, checks, planted
+
+
+TOP = 1 << 63
+
+
+@given(_rows_and_checks())
+# empty sides; zero rows; bit 63 alone and twice; one odd pair, the last
+# row's with the last check, in 1-bit slots and in 64-bit ones
+@example(([], [1], False))
+@example(([1], [], False))
+@example(([0, 0], [0], False))
+@example(([TOP], [TOP], True))
+@example(([TOP | 1], [TOP | 1], False))
+@example(([0, 0, 1], [0, 1], True))
+@example(([0b0110, TOP | 0b11, TOP | 0b1100], [0b1111, TOP | 1], True))
+def test_orthogonal_matches_the_pairwise_parities(rows_checks):
+    rows, checks, planted = rows_checks
+    expected = not any((g & h).bit_count() & 1 for g in rows for h in checks)
+    assert bitlin.orthogonal(rows, checks) == expected
+    assert not (planted and expected)
 
 
 def test_rref_matches_the_column_sweep_on_the_codes(contexts):

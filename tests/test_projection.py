@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,7 +52,7 @@ def test_nibble_value_is_additive():
 
 def test_cosets_match_reference_table():
     for symbol, nibbles in COSET_TABLE.items():
-        value = gf4.parse_element(symbol)
+        value, = gf4.parse_vector(symbol)
         assert {NIBBLE_VALUE[int(s, 2)] for s in nibbles} == {value}
     # the sixteen nibbles split exactly into the four cosets
     assert sorted(int(s, 2) for nibbles in COSET_TABLE.values()
@@ -59,7 +61,7 @@ def test_cosets_match_reference_table():
 
 def test_select_candidate_is_inverse_of_classification():
     for symbol, nibbles in COSET_TABLE.items():
-        value = gf4.parse_element(symbol)
+        value, = gf4.parse_vector(symbol)
         for nib in (int(s, 2) for s in nibbles):
             assert select_candidate(value, nib.bit_count(), nib >> 3) == nib
 
@@ -258,6 +260,23 @@ def test_has_projection_needs_the_length():
     # the empty code meets every check, so only its length rules it out
     assert not has_projection(BinaryLinearCode([], 8), c4_9(), Variant.O)
     assert has_projection(BinaryLinearCode([], 36), c4_9(), Variant.O)
+
+
+def test_fresh_builds_keep_no_state_beyond_their_code():
+    # a memo keyed by codes would keep every code that construct_verify
+    # builds alive: after the factory's cache lets go of a fresh code, the
+    # constructions and checks made from it leave nothing holding it
+    c4_9.cache_clear()
+    c4 = c4_9()
+    old = weakref.ref(c4)
+    for variant in Variant:
+        code = construct(c4, variant)
+        assert has_projection(code, c4, variant)
+    c4_9.cache_clear()
+    del c4, code
+    gc.collect()
+    assert old() is None
+    assert c4_9() is c4_9()
 
 
 @pytest.mark.parametrize("variant", ["O", "X", None])
