@@ -52,7 +52,7 @@ check too.  A success, a ``DecodeOutcome``, is built with no Python frame.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from itertools import combinations
 from typing import NamedTuple
 
@@ -147,19 +147,20 @@ _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 # is the first nine columns of c4-10's, so the two codes share 36 pair
 # and 84 triple tables
 _SHARED: dict[int, bytes] = {}
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@lru_cache(maxsize=None)
 def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
     """The solve tables of ``c4`` by minority set, built once for its O
-    and E contexts and kept, like the ``c4_9`` and ``c4_10`` codes, for
-    the process's life: M = (), each (i,), and each pair followed by the
-    triples that extend it.  Byte s of M's table is the decomposition of
-    the syndrome s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3
-    for a triple, with e3 = 0 for a pair, and for M of at most one column
-    i plus one other column x, (3 (x - 1) + ex) << 2 | e1, 0 for no x:
-    below UNSOLVABLE for m <= 16.  H is a cap, so each decomposition is
-    unique."""
+    and E contexts and kept in ``_TABLES``, weakly keyed, while the code
+    lives: M = (), each (i,), and each pair followed by the triples that
+    extend it.  Byte s of M's table is the decomposition of the syndrome
+    s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for a triple,
+    with e3 = 0 for a pair, and for M of at most one column i plus one
+    other column x, (3 (x - 1) + ex) << 2 | e1, 0 for no x: below
+    UNSOLVABLE for m <= 16.  H is a cap, so each decomposition is unique."""
+    if c4 in _TABLES:
+        return _TABLES[c4]
     colmul, m = c4.colmul, c4.m
     blank = bytes([UNSOLVABLE]) * 256
     # ex H_x and its byte's high bits, for each x and nonzero ex
@@ -201,7 +202,7 @@ def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
                     table[s ^ k3] = code | 3
                 table = _SHARED[key << 8 | k1] = bytes(table)
             tables[i, j, k] = table
-    return tables
+    return _TABLES.setdefault(c4, tables)
 
 
 class DecoderContext:

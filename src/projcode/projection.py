@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import gf4
 from .bitlin import BinaryLinearCode, orthogonal
-from .quaternary import PHI_BLOCKS, QuaternaryCode
+from .quaternary import PHI_BLOCKS, PHI_DIGITS, QuaternaryCode
 
 
 class Variant(enum.Enum):
@@ -102,11 +102,9 @@ def parity_profile(word: int, m: int) -> ParityProfile:
 
 
 def phi(x: tuple[int, ...]) -> int:
-    """The weight-doubling embedding of a GF(4) vector, as a packed word."""
-    word = 0
-    for a in x:
-        word = (word << 4) | PHI_BLOCKS[a]
-    return word
+    """x's weight-doubling image as a packed word, PHI_BLOCKS as hex digits
+    with the first symbol highest; ValueError for an int outside 0..3."""
+    return int(bytes(x).translate(PHI_DIGITS) or b"0", 16)
 
 
 def d_code_generators(m: int, variant: Variant) -> list[int]:
@@ -171,25 +169,28 @@ class ProjectionCode(BinaryLinearCode):
         """(A_0, ..., A_4m) from C4's distribution alone.  Each codeword is
         phi(x) + Q_S + b R for one x in C4, Q_S the 1111 columns of a set
         S, R the first row and b in {0, 1}; |S| is even when b = 0 and,
-        when b = 1, odd exactly if d's extra row is 1000...0111.  Let x
-        have weight j and S hold t of its m - j zero columns and u of its
-        j nonzero ones.  A nonzero symbol's column weighs 2 (b = 0) or 3,
-        1 in S (b = 1); a zero symbol's 0, 4 in S (b = 0) or 1, 3 in S
-        (b = 1).  So the word weighs 2j + 4t when t + u is even, for
-        2^(j - 1) choices of the u columns if j >= 1 (1 - t % 2 if j = 0),
-        and m + 2j + 2t - 2u when t + u = odd (mod 2), odd being the
-        1000...0111 case.  Weights j with A_j = 0 add nothing."""
-        m = self.c4.m
-        odd = _odd_tail(m, self.variant)
-        dist = [0] * (4 * m + 1)
-        for j, a in enumerate(self.c4.weight_distribution()):
-            if not a:
-                continue
-            for t in range(m - j + 1):
-                words = a * comb(m - j, t)
-                dist[2 * j + 4 * t] += words * (1 << j - 1 if j else 1 - t % 2)
-                for u in range((t + odd) % 2, j + 1, 2):
-                    dist[m + 2 * j + 2 * t - 2 * u] += words * comb(j, u)
+        when b = 1, odd exactly if d's extra row is 1000...0111 (odd = 1,
+        sigma = -1; else odd = 0, sigma = 1).  Let x weigh j and S hold t
+        of its m - j zero columns and u of its j nonzero ones.  A nonzero
+        symbol's column weighs 2 (b = 0) or 3, 1 in S (b = 1); a zero
+        symbol's 0, 4 in S (b = 0) or 1, 3 in S (b = 1).  With b = 0 the
+        word weighs 2j + 4t, for 2^(j - 1) sets of u columns (even t only
+        at j = 0): sum_j A_j 2^(j - 1) z^2j (1 + z^4)^(m - j).  With b = 1
+        it weighs m + 2t + 2u', u' = j - u, t + u' = odd + j (mod 2): that
+        parity's part of z^m (1 + y)^m, y = z^2, which is z^m [(1 + y)^m
+        + sigma (-1)^j (1 - y)^m] / 2.  Over C4 this is z^m [|C4| (1 + y)^m
+        + sigma E (1 - y)^m] / 2, E = sum_j (-1)^j A_j: C(m, s) z^(m + 2s)
+        for each x of weight s + odd (mod 2)."""
+        m, a = self.c4.m, self.c4.weight_distribution()
+        odd, dist = _odd_tail(m, self.variant), [0] * (4 * m + 1)
+        words = (sum(a[::2]), sum(a[1::2]))     # x of even, odd weight
+        for j, aj in enumerate(a):
+            if aj:
+                per_t = aj << j - 1 if j else aj
+                for t in range(0, m - j + 1, 1 if j else 2):
+                    dist[2 * j + 4 * t] += per_t * comb(m - j, t)
+        for s in range(m + 1):
+            dist[m + 2 * s] += comb(m, s) * words[(s + odd) % 2]
         return tuple(dist)
 
 

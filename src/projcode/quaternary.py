@@ -27,6 +27,8 @@ GF4Vector = tuple[int, ...]
 # the weight-doubling map phi by field element (GF(2)-linear, weight 2 on
 # every nonzero symbol); ``projection`` uses these as column nibbles
 PHI_BLOCKS = (0b000, 0b011, 0b101, 0b110)
+# symbol a -> hex/octal digit PHI_BLOCKS[a], any other byte -> "?", no digit
+PHI_DIGITS = b"%d%d%d%d" % PHI_BLOCKS + b"?" * 252
 
 
 def _check_symbols(rows: Iterable[Sequence[int]]) -> None:
@@ -75,10 +77,10 @@ class QuaternaryCode:
                     f"the parity check (syndrome "
                     f"{gf4.format_vector(gf4.unpack(s, 4))})")
         self._distribution: tuple[int, ...] | None = None
-        # phi of each generator, 3 bits per symbol; a dependent basis,
-        # which BinaryLinearCode rejects, is reported in this code's terms
-        # and the image's other errors keep their text
-        rows = [sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
+        # phi of each generator, 3 bits a symbol, the first lowest: the
+        # reversed row in octal; a dependent basis, which BinaryLinearCode
+        # rejects, is named in this code's terms, other errors as they are
+        rows = [int(bytes(g[::-1]).translate(PHI_DIGITS) or b"0", 8)
                 for g in self.generators]
         try:
             self.image = BinaryLinearCode(rows, 3 * self.m)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, parse_bits, rank
-from projcode.decoder import DecoderContext
+from projcode.decoder import DecoderContext, decode
 from projcode.projection import (NIBBLE_VALUE, PHI_BLOCKS,
                                  ParityProfile, Variant, construct,
                                  d_code_generators, has_projection,
@@ -109,13 +109,23 @@ def test_words_outside_the_length_are_rejected(m):
 # ---------------------------------------------------------------------------
 # phi and the completing d generators
 
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
-                max_size=12))
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=16))
 def test_phi_doubles_weight_and_projects_back(symbols):
+    # the empty vector included; the reference places one nibble a symbol
     x = tuple(symbols)
     word = phi(x)
+    assert word == sum(PHI_BLOCKS[a] << 4 * (len(x) - 1 - i)
+                       for i, a in enumerate(x))
     assert bin(word).count("1") == 2 * (len(x) - x.count(0))
     assert project(word, len(x)) == x
+
+
+@pytest.mark.parametrize("x", [(4,), (1, -1), (0, 10), (48,), (1, 256)])
+def test_phi_rejects_what_is_not_a_symbol(x):
+    # no byte but 0..3 spells a digit, so neither a whitespace byte nor
+    # an ASCII digit's code reads as a nibble
+    with pytest.raises(ValueError):
+        phi(x)
 
 
 def test_phi_is_additive():
@@ -196,11 +206,12 @@ def test_generator_projections_span_the_quaternary_code(contexts):
             assert project(row, ctx.m) == (0,) * c4.m
 
 
-@pytest.mark.parametrize("m", [5, 6, 7, 8])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_closed_form_matches_enumeration_at_other_m(m, variant):
     # the first m cap columns give k = 3m - 8 <= 16; odd and even m take
-    # both forms of d's extra row, and every C4 here has A_1 = A_2 = 0
+    # both forms of d's extra row, and every C4 here has A_1 = A_2 = 0;
+    # at m = 4, C4 = {0}, so only j = 0 adds and E = |C4|
     code = construct(systematic_c4(f"cap-{m}", cap_columns()[:m]), variant)
     assert code.k == 3 * m - 8
     assert code.weight_distribution() == enumerated_distribution(code)
@@ -265,15 +276,18 @@ def test_has_projection_needs_the_length():
 def test_fresh_builds_keep_no_state_beyond_their_code():
     # a memo keyed by codes would keep every code that construct_verify
     # builds alive: after the factory's cache lets go of a fresh code, the
-    # constructions and checks made from it leave nothing holding it
+    # constructions, checks and decoder contexts made from it, with their
+    # solve tables, leave nothing holding it
     c4_9.cache_clear()
     c4 = c4_9()
     old = weakref.ref(c4)
     for variant in Variant:
         code = construct(c4, variant)
         assert has_projection(code, c4, variant)
+        ctx = DecoderContext(c4, variant)
+        assert decode(ctx, 0).ok
     c4_9.cache_clear()
-    del c4, code
+    del c4, code, ctx
     gc.collect()
     assert old() is None
     assert c4_9() is c4_9()

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, xor_span
-from projcode.decoder import UNSOLVABLE, DecoderContext, _solve_tables
+from projcode.decoder import (_TABLES, UNSOLVABLE, DecoderContext,
+                              _solve_tables)
 from projcode.projection import Variant, construct
-from projcode.quaternary import (_G9, _G10, _H9, QuaternaryCode, c4_9, c4_10,
-                                 format_gf4_matrix, parse_gf4_matrix)
+from projcode.quaternary import (_G9, _G10, _H9, PHI_BLOCKS, QuaternaryCode,
+                                 c4_9, c4_10, format_gf4_matrix,
+                                 parse_gf4_matrix)
 
+from conftest import cap_columns, systematic_c4
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
 
 
@@ -214,16 +217,15 @@ def test_solve_tables_wait_for_a_decoder():
     # table; the first decoder context does, and the next one shares them
     code = c4_9.__wrapped__()
     assert code is not c4_9()
-    misses = _solve_tables.cache_info().misses
     for variant in Variant:
         construct(code, variant).weight_distribution()
     code.weight_distribution()
-    assert _solve_tables.cache_info().misses == misses
+    assert code not in _TABLES
     first = DecoderContext(code, Variant.O)
-    assert _solve_tables.cache_info().misses == misses + 1
+    built = _TABLES[code]
     second = DecoderContext(code, Variant.E)
-    assert _solve_tables.cache_info().misses == misses + 1
-    tables = {id(table) for table in _solve_tables(code).values()}
+    assert _TABLES[code] is built and _solve_tables(code) is built
+    tables = {id(table) for table in built.values()}
     for a, b in zip(first._profiles, second._profiles):
         assert (a is None) == (b is None)
         if a is not None:
@@ -265,6 +267,17 @@ def test_colmul_holds_the_packed_column_multiples(q9, q10):
             col = tuple(h[i - 1] for h in code.parity_check)
             assert code.colmul[i] == tuple(gf4.pack(gf4.scale(e, col))
                                            for e in gf4.ELEMENTS)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
+def test_image_rows_are_phi_three_bits_a_symbol(m):
+    # the image's row for generator g puts PHI_BLOCKS[g_j] at bit 3j, the
+    # first symbol lowest: c4-9, c4-10 and the caps on the first m columns
+    code = {9: c4_9(), 10: c4_10()}.get(m) or systematic_c4(
+        f"cap-{m}", cap_columns()[:m])
+    assert code.image.generator == tuple(
+        sum(PHI_BLOCKS[a] << 3 * j for j, a in enumerate(g))
+        for g in code.generators)
 
 
 def test_generators_are_the_basis_and_its_w_multiples(q9, q10):
