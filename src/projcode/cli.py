@@ -9,7 +9,8 @@ c4-10 for the underlying quaternary codes.  Subcommands:
   decode    received word -> corrected codeword (--trace, --oracle)
   mindist   minimum distance
   exhaust   sweep all error patterns up to a weight over sampled codewords,
-            cross-checked against the coset-leader decoder
+            cross-checked against the coset-leader decoder, which is read
+            once per error pattern
   simulate  random-error trials with per-trial seeded RNG streams
 
 Exit codes: 0 success, 1 decoding/verification failure or a reader that
@@ -214,12 +215,14 @@ def cmd_exhaust(args, parser) -> int:
     # patterns outermost, so none is kept once its codewords are decoded
     for e in _error_patterns(ctx.n, args.max_weight):
         trials += len(words)
+        # each c ^ e has e's syndrome, as c is a codeword, so the oracle's
+        # answer for it is c ^ table.decode(e), and None when that is None
+        shift = table and table.decode(e)
         for c in words:
-            y = c ^ e
-            decoded = decode(ctx, y).codeword     # None for a refusal
+            decoded = decode(ctx, c ^ e).codeword     # None for a refusal
             if decoded != c:
                 wrong += 1
-            if table is not None and table.decode(y) != decoded:
+            if table and decoded != (shift if shift is None else c ^ shift):
                 oracle_mismatch += 1
     ok = wrong == 0 and oracle_mismatch == 0
     payload = {
@@ -320,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random codewords besides the zero word")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", dest="oracle", action=argparse.BooleanOptionalAction,
-                   default=True, help="compare against the coset-leader decoder")
+                   default=True,
+                   help="compare against the coset-leader decoder, read "
+                        "once per error pattern")
 
     p = add("simulate", cmd_simulate, "random error trials", binary_only=True)
     p.add_argument("--trials", type=int, default=1000)

@@ -14,6 +14,7 @@ from projcode import cli, gf4
 from projcode.bitlin import (BinaryLinearCode, CosetTable, format_bits,
                              parse_matrix)
 from projcode.cli import main
+from projcode.decoder import decode
 from projcode.projection import parity_profile, project
 from projcode.quaternary import c4_9, parse_gf4_matrix
 
@@ -261,15 +262,17 @@ def test_exhaust_memory_does_not_grow_with_the_patterns(capsys):
 
 
 @pytest.mark.parametrize("flags, bad_decode, bad_oracle, wrong, mismatches", [
-    ((), 5, 9, 1, 2),
+    ((), 5, 9, 1, 3),
     (("--no-oracle",), 5, None, 1, None),
-    ((), None, 9, 0, 1),
+    ((), None, 9, 0, 2),
 ], ids=["both", "decoder-only", "oracle-only"])
 def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
                                  bad_decode, bad_oracle, wrong, mismatches):
     # the decoder never fails, so stubs make the failures: the decoder is
-    # wrong on its call bad_decode and the oracle on its call bad_oracle;
-    # the oracle's true answer also disagrees with the wrong decode
+    # wrong on its call bad_decode, and the oracle, read once per pattern,
+    # answers None on its call bad_oracle, so both codewords of that
+    # pattern mismatch; the oracle's true answer also disagrees with the
+    # wrong decode
     received, oracle_calls = [], []
     real_decode = cli.decode
 
@@ -310,6 +313,83 @@ def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
                    f"{74 - wrong} correct, {wrong} wrong"
                    + ("" if mismatches is None
                       else f", {mismatches} oracle mismatches") + "\n")
+
+
+def test_exhaust_reads_the_oracle_once_per_pattern(capsys, monkeypatch):
+    received, oracle_calls = [], []
+    real_decode = cli.decode
+
+    def decode(ctx, y):
+        received.append(y)
+        return real_decode(ctx, y)
+
+    class Oracle(CosetTable):
+        def decode(self, y):
+            oracle_calls.append(y)
+            return super().decode(y)
+
+    monkeypatch.setattr(cli, "decode", decode)
+    monkeypatch.setattr(cli, "CosetTable", Oracle)
+    rv, out, _ = run(capsys, "exhaust", "o36", "--samples", "2",
+                     "--max-weight", "2", "--seed", "5", "--json")
+    assert rv == 0
+    patterns = list(cli._error_patterns(36, 2))
+    assert oracle_calls == patterns
+    assert len(received) == json.loads(out)["trials"] == 3 * len(patterns)
+
+
+class DamagedTable(CosetTable):
+    """Coset leaders with wrong answers on some cosets: no leader for one
+    syndrome in five, and a leader moved by a nonzero codeword for
+    another; each answer still depends on the word's coset alone."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        for s in list(self.leaders):
+            if s % 5 == 1:
+                del self.leaders[s]
+            elif s % 5 == 2:
+                self.leaders[s] ^= code.generator[0]
+
+
+@pytest.mark.parametrize("table", [CosetTable, DamagedTable],
+                         ids=["oracle", "damaged-oracle"])
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("code_id, max_weight, samples", [
+    ("o36", 2, 2), ("e36", 2, 2), ("o40", 2, 2), ("e40", 2, 2),
+    ("o36", 3, 1),
+])
+def test_exhaust_matches_a_per_word_oracle(capsys, monkeypatch, contexts,
+                                           table, seed, code_id, max_weight,
+                                           samples):
+    # the report of a sweep that asks the oracle about every word; the
+    # damaged table's answers differ from coset to coset, so an answer
+    # used for the wrong pattern, or a None taken for a codeword, shows
+    ctx = contexts[code_id]
+    code = ctx.binary_code
+    oracle = table(code)
+    words = [0] + [code.encode(cli._trial_rng(seed, t).getrandbits(code.k))
+                   for t in range(samples)]
+    trials = wrong = mismatches = 0
+    for w in range(max_weight + 1):
+        for positions in itertools.combinations(range(code.n), w):
+            e = sum(1 << b for b in positions)
+            for c in words:
+                decoded = decode(ctx, c ^ e).codeword
+                trials += 1
+                wrong += decoded != c
+                mismatches += oracle.decode(c ^ e) != decoded
+    monkeypatch.setattr(cli, "CosetTable", table)
+    rv, out, _ = run(capsys, "exhaust", code_id, "--max-weight",
+                     str(max_weight), "--samples", str(samples),
+                     "--seed", str(seed), "--json")
+    ok = wrong == 0 and mismatches == 0
+    assert (table is CosetTable) == ok
+    assert rv == (0 if ok else 1)
+    assert json.loads(out) == {
+        "code": code_id, "max_weight": max_weight, "samples": samples,
+        "seed": seed, "trials": trials, "wrong": wrong,
+        "oracle_mismatches": mismatches, "ok": ok}
 
 
 def test_zero_and_full_weights_run(capsys):
