@@ -10,10 +10,12 @@ numpy on uint64 words (``BinaryLinearCode`` rejects n > 64), and refuses
 k > 26; the constructed codes of ``projection`` use a closed form
 instead, so the codes enumerated are the quaternary codes' images.
 A syndrome is one lookup per byte of the word, in tables spanned by that
-byte's unit syndromes: five bytes for n <= 40, ceil(n / 8) in a loop past.
-``syndrome`` is the one general read; ``in`` and ``CosetTable.decode``,
-which run once per checked word, do the five-table read in their own
-frame, with no nested call, and call ``syndrome`` past 40 bits.
+byte's unit syndromes: five tables for n <= 40, ceil(n / 8) past.
+``syndrome`` is the one general read, a loop over the tables at every
+length; ``in``, ``CosetTable.decode`` and the decoder's
+``syndrome_packed``, which run once per checked word, do the five-table
+read unrolled in their own frame, with no nested call, and call
+``syndrome`` past 40 bits.
 ``CosetTable`` implements syndrome decoding by stored coset leaders for
 every error of weight <= 3, and is the ground-truth decoder of the tests,
 ``exhaust`` and ``decode --oracle``.
@@ -236,10 +238,6 @@ class BinaryLinearCode:
         tables = self._synd_tables
         if tables is None:
             tables = self._synd_tables = _byte_tables(self.parity_rows, n)
-        if n <= 40:
-            t0, t1, t2, t3, t4 = tables
-            b0, b1, b2, b3, b4 = word.to_bytes(5, "little")
-            return t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4]
         synd = 0
         for table, byte in zip(tables, word.to_bytes(len(tables), "little")):
             synd ^= table[byte]

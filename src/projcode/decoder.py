@@ -141,24 +141,19 @@ _REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
 _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 
 
-# the solve tables of column pairs and triples by their columns, packed as
-# H_i << 8 | H_j and H_i << 16 | H_j << 8 | H_k, which differ because no
-# column of a cap is zero: a table depends on nothing else, and c4-9's H
-# is the first nine columns of c4-10's, so the two codes share 36 pair
-# and 84 triple tables
-_SHARED: dict[int, bytes] = {}
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
     """The solve tables of ``c4`` by minority set, built once for its O
     and E contexts and kept in ``_TABLES``, weakly keyed, while the code
-    lives: M = (), each (i,), and each pair followed by the triples that
-    extend it.  Byte s of M's table is the decomposition of the syndrome
-    s over M, UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for a triple,
-    with e3 = 0 for a pair, and for M of at most one column i plus one
-    other column x, (3 (x - 1) + ex) << 2 | e1, 0 for no x: below
-    UNSOLVABLE for m <= 16.  H is a cap, so each decomposition is unique."""
+    lives: M = (), each (i,), each pair from its 16 coefficient sums, and
+    the triples that extend a pair, each from a copy of the pair's table.
+    Byte s of M's table is the decomposition of the syndrome s over M,
+    UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for a triple, with e3 = 0
+    for a pair, and for M of at most one column i plus one other column
+    x, (3 (x - 1) + ex) << 2 | e1, 0 for no x: below UNSOLVABLE for
+    m <= 16.  H is a cap, so each decomposition is unique."""
     if c4 in _TABLES:
         return _TABLES[c4]
     colmul, m = c4.colmul, c4.m
@@ -183,25 +178,18 @@ def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
         sums = [(si ^ sj, e1 << 4 | e2 << 2)
                 for e1, si in enumerate(colmul[i])
                 for e2, sj in enumerate(colmul[j])]
-        key = colmul[i][1] << 8 | colmul[j][1]
-        pair = _SHARED.get(key)
-        if pair is None:
-            table = bytearray(blank)
-            for s, code in sums:
-                table[s] = code
-            pair = _SHARED[key] = bytes(table)
-        tables[i, j] = pair
+        table = bytearray(blank)
+        for s, code in sums:
+            table[s] = code
+        pair = tables[i, j] = bytes(table)
         for k in range(j + 1, m + 1):
             _, k1, k2, k3 = colmul[k]
-            table = _SHARED.get(key << 8 | k1)
-            if table is None:
-                table = bytearray(pair)
-                for s, code in sums:
-                    table[s ^ k1] = code | 1
-                    table[s ^ k2] = code | 2
-                    table[s ^ k3] = code | 3
-                table = _SHARED[key << 8 | k1] = bytes(table)
-            tables[i, j, k] = table
+            table = bytearray(pair)
+            for s, code in sums:
+                table[s ^ k1] = code | 1
+                table[s ^ k2] = code | 2
+                table[s ^ k3] = code | 3
+            tables[i, j, k] = bytes(table)
     return _TABLES.setdefault(c4, tables)
 
 

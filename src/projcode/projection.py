@@ -160,6 +160,9 @@ class ProjectionCode(BinaryLinearCode):
     ``variant``, from which its weight distribution follows."""
 
     def __init__(self, c4: QuaternaryCode, variant: Variant):
+        if c4.r != 2 * (c4.m - 4):
+            raise ValueError(f"{c4.name}: {c4.r // 2} basis rows, not "
+                             f"m - 4 = {c4.m - 4}: they do not span ker H")
         rows = [phi(g) for g in c4.generators]
         rows += d_code_generators(c4.m, variant)
         super().__init__(rows, 4 * c4.m, projection_checks(c4, variant))

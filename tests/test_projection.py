@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -17,7 +18,7 @@ from projcode.projection import (NIBBLE_VALUE, PHI_BLOCKS,
                                  parity_profile, phi, project,
                                  projection_checks, render_array,
                                  select_candidate)
-from projcode.quaternary import c4_9, c4_10
+from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 from conftest import (BINARY_IDS, cap_columns, code_equal,
                       enumerated_distribution, enumerated_has_projection,
@@ -220,6 +221,19 @@ def test_closed_form_matches_enumeration_at_other_m(m, variant):
 def test_construct_matches_context(contexts):
     assert code_equal(construct(c4_9(), Variant.O),
                       contexts["o36"].binary_code)
+
+
+@pytest.mark.parametrize("build", [construct, DecoderContext])
+def test_construct_refuses_a_basis_short_of_ker_h(build):
+    # four of c4-9's five basis rows meet H but leave r = 8 < 2 (m - 4):
+    # the refusal names the code and both counts, not the parity rows
+    sub = QuaternaryCode("sub", c4_9().generators[::2][:4],
+                         c4_9().parity_check)
+    assert sub.r == 8
+    for variant in Variant:
+        with pytest.raises(ValueError, match=re.escape(
+                "sub: 4 basis rows, not m - 4 = 5")):
+            build(sub, variant)
 
 
 def test_projection_checks_are_a_parity_check_basis(contexts):

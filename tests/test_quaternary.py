@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -200,16 +202,39 @@ def test_solve_columns_unsolvable(q9):
 
 def test_codes_share_the_tables_of_common_triples(q9, q10):
     # a pair's or a triple's table depends on its columns alone, and c4-9's
-    # H is the first nine columns of c4-10's: the two codes hold one table
-    # for each pair and each triple of those columns, whichever code built
-    # it first
+    # H is the first nine columns of c4-10's: each code builds its own
+    # tables, and the two agree on each pair and each triple of those
+    # columns
     assert [h[:9] for h in q10.parity_check] == list(q9.parity_check)
     solve10 = _solve_tables(q10)
     shared = [(columns, table) for columns, table in _solve_tables(q9).items()
               if len(columns) >= 2]
     assert len(shared) == 36 + 84
     for columns, table in shared:
-        assert table is solve10[columns]
+        assert table == solve10[columns]
+
+
+def test_dropped_codes_leave_no_solve_tables():
+    # the tables go with their code: after one warm build, the O and E
+    # contexts of six caps of m = 11..16, 2,652 tables in all, leave less
+    # than 16 KB behind once dropped
+    def build_and_drop(m):
+        c4 = systematic_c4(f"cap-{m}", cap_columns()[:m])
+        for variant in Variant:
+            DecoderContext(c4, variant)
+
+    build_and_drop(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in range(11, 17):
+            build_and_drop(m)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16_000
 
 
 def test_solve_tables_wait_for_a_decoder():
@@ -329,6 +354,8 @@ def test_constructor_rejects_bad_matrices(q9):
         QuaternaryCode("bad", [(1, 0, 5)], h)     # symbol outside 0..3
     with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: -1"):
         QuaternaryCode("bad", basis, [*h[:3], (-1,) * 9])
+    with pytest.raises(ValueError, match="ragged parity-check matrix"):
+        QuaternaryCode("bad", basis, [*h[:3], h[3][:8]])  # short fourth row
     # 1.0 and True both equal a field element but are not ints
     with pytest.raises(ValueError, match="not a GF\\(4\\) symbol: 1.0"):
         QuaternaryCode("bad", [(1.0, *basis[0][1:])], h)
