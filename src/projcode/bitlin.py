@@ -244,8 +244,8 @@ class BinaryLinearCode:
         return synd
 
     def __contains__(self, word: int) -> bool:
-        # the five-table read of ``syndrome``, in place: the decoder's
-        # membership guard runs once per decoded word
+        # the five-table read of ``syndrome``, in place: the decoder reads
+        # it once per repaired word to decide the owed first-row flip
         n = self.n
         if word >> n:           # not a word of length n
             return False

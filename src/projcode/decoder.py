@@ -29,10 +29,10 @@ decodes every case:
    a minority column, the first entry only for e_c = 0, and two bits in
    x.  The context holds these errors shifted into place, so the byte
    picks at most three to OR, and the repaired word meets every check
-   row but perhaps the last.  If it fails that row, x, or else a lone
-   minority column, swaps its error for the complement (XOR 1111): that
-   meets the last row alone and keeps the weight at most 3.  With no such
-   column (p = 0 without x, or p >= 2), the word is refused.
+   row but perhaps the last.  If one membership read finds no codeword,
+   x, or else a lone minority column, swaps its error for the complement
+   (XOR 1111): that meets the last row alone and keeps the weight at most
+   3.  With no such column (p = 0 without x, or p >= 2), it is refused.
 3. Label.  The paper's case a.i - d.iv is derived for the trace only: the
    letter is a, b, c, d for p = 0..3; the numeral is i, ii, ... for 0, 1,
    ... nonzero minority coefficients, continued past those p + 1 numerals
@@ -46,8 +46,8 @@ decodes every case:
   p=3: d.i - d.iv   0 - 3 minority columns with a nonzero coefficient
 
 Refused besides the parity refusal: an unsolvable syndrome, or an owed
-flip with no column to take it.  A decoded word must pass the membership
-check too.  A success, a ``DecodeOutcome``, is built with no Python frame.
+flip with no column to take it.  A success, a ``DecodeOutcome``, is built
+with no Python frame.
 """
 
 from __future__ import annotations
@@ -209,8 +209,6 @@ class DecoderContext:
         self._synd_tables = (self.binary_code._synd_tables if self.n <= 40
                              else None)
         self.col_parity_mask = int("0001" * m, 2)
-        # the code's last check row: the first row, plus column 1 for O
-        self._first_check = self.binary_code.parity_rows[-1]
         # bit y is set when y odd columns leave p > 3 minority columns or
         # a tie: the parity refusal
         self._refused_counts = sum(1 << y for y in range(m + 1)
@@ -301,15 +299,12 @@ def decode(ctx: DecoderContext, received: int) -> DecodeOutcome:
     else:
         diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
     decoded = received ^ diff
-    # the repaired word meets every check row but perhaps the last: if it
-    # fails that one, the last repaired column takes the first-row flip
-    if (decoded & ctx._first_check).bit_count() & 1:
+    # the repaired word meets every check row but perhaps the last, so if
+    # it is no codeword, the last repaired column takes the first-row flip;
+    # a direct method call: ``in`` would enter through the C slot wrapper
+    if not ctx.binary_code.__contains__(decoded):
         if not last:
             return _REFUSED_UNCORRECTABLE
         diff ^= last
         decoded ^= last
-
-    # a direct method call: ``in`` would enter through the C slot wrapper
-    if not ctx.binary_code.__contains__(decoded):
-        return _REFUSED_UNCORRECTABLE
     return _new_tuple(DecodeOutcome, (True, decoded, diff, None, m, s8))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 import pickle
 import random
 import re
@@ -249,8 +250,8 @@ def test_in_place_reads_reject_words_outside_the_length(contexts, code_id,
 
 def test_decode_and_oracle_call_no_syndrome(contexts, monkeypatch):
     # once the contexts and leader tables are built, neither decode nor
-    # the oracle calls ``syndrome``, and decode's guard runs once per
-    # decoded word
+    # the oracle calls ``syndrome``; decode reads membership once per
+    # repaired word to decide the owed first-row flip, and not after it
     rng = random.Random(2021)
     samples = []
     for code_id in BINARY_IDS:
@@ -281,12 +282,19 @@ def test_decode_and_oracle_call_no_syndrome(contexts, monkeypatch):
     decoded = Counter()
     for ctx, oracle, words in samples:
         for word in words:
+            before = calls["in"]
             out = decode(ctx, word)
+            reads = calls["in"] - before
             assert (out.codeword if out.ok else None) == oracle(word)
             decoded[out.ok] += 1
+            if out.ok:
+                assert reads == 1
+            elif out.reason == FAIL_PARITY:
+                assert reads == 0
+            else:
+                assert reads <= 1
     assert decoded[True] > 1000 and decoded[False] > 0
     assert calls["syndrome"] == 0
-    assert calls["in"] == decoded[True]
 
 
 # ---------------------------------------------------------------------------
@@ -562,40 +570,74 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
                 assert c == (ctx._odd_repair[minority[0]] if p else (0,))
 
 
+def _checked_repairs(ctx: DecoderContext) -> tuple[int, int]:
+    """The decoder checked by check row, not by word: for each filled slot
+    and each byte s8 that its solve table solves, the repair built as
+    decode builds it has the syndrome slot << 8 | s8 below the last check
+    row and weighs at most 3, and the column that takes an owed first-row
+    flip meets the last check row alone and keeps the weight at most 3.
+    So every word that decode repairs is a codeword within distance 3 or,
+    when its one membership read says otherwise, becomes one by the flip.
+    Returns the number of solvable (entry, byte) pairs and of those with
+    a column to take the flip."""
+    syndrome = ctx.binary_code.syndrome
+    top = 1 << ctx.n - ctx.binary_code.k - 1
+    pairs = flips = 0
+    for slot, entry in enumerate(ctx._profiles):
+        if entry is None:
+            continue
+        _, p, table, a, b, c, last = entry
+        assert p < 2 or last == 0
+        for s8, code in enumerate(table):
+            if code == UNSOLVABLE:
+                continue
+            if p < 2:
+                diff = a[code >> 2] | c[code & 3]
+                owed = b[code >> 2] or last
+            else:
+                diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
+                owed = last
+            assert syndrome(diff) & top - 1 == slot << 8 | s8
+            assert diff.bit_count() <= 3
+            if owed:
+                assert syndrome(owed) == top
+                assert (diff ^ owed).bit_count() <= 3
+                flips += 1
+            pairs += 1
+    return pairs, flips
+
+
+def _errors_up_to_3(n: int) -> int:
+    return sum(math.comb(n, w) for w in range(4))
+
+
 def test_every_solvable_byte_repairs_to_a_codeword(contexts):
-    # the decoder checked by check row, not by word: for each filled slot
-    # and each byte s8 that its solve table solves, the repair built as
-    # decode builds it has the syndrome slot << 8 | s8 below the last
-    # check row and weighs at most 3, and the column that takes an owed
-    # first-row flip meets the last check row alone and keeps the weight
-    # at most 3.  So every word that decode repairs lands on a codeword
-    # within distance 3, and the membership guard can reject none.
+    # each solvable pair corrects one error of weight <= 3, and each with a
+    # flip column one more, so together they cover every such error once
     checked = 0
     for code_id in BINARY_IDS:
         ctx = contexts[code_id]
-        syndrome = ctx.binary_code.syndrome
-        top = 1 << ctx.n - ctx.binary_code.k - 1
-        for slot, entry in enumerate(ctx._profiles):
-            if entry is None:
-                continue
-            _, p, table, a, b, c, last = entry
-            assert p < 2 or last == 0
-            for s8, code in enumerate(table):
-                if code == UNSOLVABLE:
-                    continue
-                if p < 2:
-                    diff = a[code >> 2] | c[code & 3]
-                    owed = b[code >> 2] or last
-                else:
-                    diff = a[code >> 4] | b[code >> 2 & 3] | c[code & 3]
-                    owed = last
-                assert syndrome(diff) & top - 1 == slot << 8 | s8
-                assert diff.bit_count() <= 3
-                if owed:
-                    assert syndrome(owed) == top
-                    assert (diff ^ owed).bit_count() <= 3
-                checked += 1
+        pairs, flips = _checked_repairs(ctx)
+        assert pairs + flips == _errors_up_to_3(ctx.n)
+        checked += pairs
     assert checked == 32862
+
+
+# solvable (entry, byte) pairs of the greedy caps, by m, in either variant
+CAP_SOLVABLE_PAIRS = {11: 12838, 12: 16805, 13: 21516, 14: 27035,
+                      15: 33426, 16: 40753}
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("m", sorted(CAP_SOLVABLE_PAIRS))
+def test_every_solvable_byte_repairs_to_a_codeword_on_caps(m, variant):
+    # the same invariant past the paper's codes: the greedy cap's first m
+    # columns, n = 44 to 64
+    ctx = DecoderContext(systematic_c4(f"cap-{m}", cap_columns()[:m]),
+                         variant)
+    pairs, flips = _checked_repairs(ctx)
+    assert pairs == CAP_SOLVABLE_PAIRS[m]
+    assert pairs + flips == _errors_up_to_3(ctx.n)
 
 
 @pytest.mark.parametrize("code_id", BINARY_IDS)
