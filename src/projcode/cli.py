@@ -145,7 +145,7 @@ def cmd_decode(args, parser) -> int:
     received = _bits(parser, args.word, ctx.n, "received word")
     outcome = decode(ctx, received)
     syndrome = gf4.format_vector(
-        gf4.unpack(ctx.syndrome_packed(received) & 255, 4))
+        gf4.unpack(ctx.binary_code.syndrome(received) & 255, 4))
     p = parity_profile(received, ctx.m).p
     trace = outcome.trace           # None for a refusal
     branch = decoded_str = None
@@ -206,7 +206,7 @@ def cmd_exhaust(args, parser) -> int:
     _nonnegative(parser, args, "samples", "seed")
     ctx = _context(args.code)
     code = ctx.binary_code
-    table = CosetTable(code) if args.oracle else None
+    table = CosetTable(code)
     words = [0] + [code.encode(_trial_rng(args.seed, t).getrandbits(code.k))
                    for t in range(args.samples)]
     trials = 0
@@ -217,12 +217,12 @@ def cmd_exhaust(args, parser) -> int:
         trials += len(words)
         # each c ^ e has e's syndrome, as c is a codeword, so the oracle's
         # answer for it is c ^ table.decode(e), and None when that is None
-        shift = table and table.decode(e)
+        shift = table.decode(e)
         for c in words:
             decoded = decode(ctx, c ^ e).codeword     # None for a refusal
             if decoded != c:
                 wrong += 1
-            if table and decoded != (shift if shift is None else c ^ shift):
+            if decoded != (shift if shift is None else c ^ shift):
                 oracle_mismatch += 1
     ok = wrong == 0 and oracle_mismatch == 0
     payload = {
@@ -232,13 +232,13 @@ def cmd_exhaust(args, parser) -> int:
         "seed": args.seed,
         "trials": trials,
         "wrong": wrong,
-        "oracle_mismatches": oracle_mismatch if args.oracle else None,
+        "oracle_mismatches": oracle_mismatch,
         "ok": ok,
     }
     text = (f"{trials} decodes over {len(words)} codewords, "
             f"errors up to weight {args.max_weight}: "
-            f"{trials - wrong} correct, {wrong} wrong"
-            + (f", {oracle_mismatch} oracle mismatches" if args.oracle else ""))
+            f"{trials - wrong} correct, {wrong} wrong, "
+            f"{oracle_mismatch} oracle mismatches")
     _emit(args, payload, text)
     return 0 if ok else 1
 
@@ -322,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200,
                    help="random codewords besides the zero word")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", dest="oracle", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="compare against the coset-leader decoder, read "
-                        "once per error pattern")
 
     p = add("simulate", cmd_simulate, "random error trials", binary_only=True)
     p.add_argument("--trials", type=int, default=1000)

@@ -244,30 +244,33 @@ def test_error_patterns_are_position_combinations():
 
 
 def test_exhaust_memory_does_not_grow_with_the_patterns(capsys):
-    # o40 has 10,701 error patterns of weight <= 3: held in a list they
-    # take about 400 KB, while the whole call without them, its decoder
-    # context included, takes about 140 KB
-    argv = ["exhaust", "o40", "--samples", "0", "--no-oracle"]
-    main(argv)          # first call: the quaternary code and lazy imports
+    # o40 has 10,701 error patterns of weight <= 3 against 41 of weight
+    # <= 1: held in a list they would take about 400 KB more, while both
+    # calls build the same decoder context and coset table
+    def peak(max_weight):
+        argv = ["exhaust", "o40", "--samples", "0",
+                "--max-weight", str(max_weight)]
+        tracemalloc.start()
+        try:
+            rv = main(argv)
+            return rv, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)             # first call: the quaternary code and lazy imports
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        rv = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rv == 0
+    (rv1, peak1), (rv3, peak3) = peak(1), peak(3)
+    assert rv1 == rv3 == 0
     assert "10701 correct, 0 wrong" in capsys.readouterr().out
-    assert peak < 300 * 1024
+    assert peak3 - peak1 < 100 * 1024
 
 
-@pytest.mark.parametrize("flags, bad_decode, bad_oracle, wrong, mismatches", [
-    ((), 5, 9, 1, 3),
-    (("--no-oracle",), 5, None, 1, None),
-    ((), None, 9, 0, 2),
-], ids=["both", "decoder-only", "oracle-only"])
-def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
-                                 bad_decode, bad_oracle, wrong, mismatches):
+@pytest.mark.parametrize("bad_decode, bad_oracle, wrong, mismatches", [
+    (5, 9, 1, 3),
+    (None, 9, 0, 2),
+], ids=["both", "oracle-only"])
+def test_exhaust_counts_failures(capsys, monkeypatch, contexts, bad_decode,
+                                 bad_oracle, wrong, mismatches):
     # the decoder never fails, so stubs make the failures: the decoder is
     # wrong on its call bad_decode, and the oracle, read once per pattern,
     # answers None on its call bad_oracle, so both codewords of that
@@ -293,7 +296,7 @@ def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
     monkeypatch.setattr(cli, "decode", decode)
     monkeypatch.setattr(cli, "CosetTable", Oracle)
     argv = ("exhaust", "o36", "--samples", "1", "--max-weight", "1",
-            "--seed", "5", *flags)
+            "--seed", "5")
     rv, out, _ = run(capsys, *argv, "--json")
     assert rv == 1
     assert json.loads(out) == {
@@ -310,9 +313,8 @@ def test_exhaust_counts_failures(capsys, monkeypatch, contexts, flags,
     rv, out, _ = run(capsys, *argv)
     assert rv == 1
     assert out == (f"74 decodes over 2 codewords, errors up to weight 1: "
-                   f"{74 - wrong} correct, {wrong} wrong"
-                   + ("" if mismatches is None
-                      else f", {mismatches} oracle mismatches") + "\n")
+                   f"{74 - wrong} correct, {wrong} wrong, "
+                   f"{mismatches} oracle mismatches\n")
 
 
 def test_exhaust_reads_the_oracle_once_per_pattern(capsys, monkeypatch):
@@ -405,19 +407,6 @@ def test_zero_and_full_weights_run(capsys):
         assert json.loads(out)["successes"] == successes
 
 
-def test_exhaust_without_oracle(capsys, monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("--no-oracle built a CosetTable")
-
-    monkeypatch.setattr(cli, "CosetTable", no_table)
-    rv, out, _ = run(capsys, "exhaust", "e36", "--samples", "1",
-                     "--max-weight", "1", "--json", "--no-oracle")
-    assert rv == 0
-    payload = json.loads(out)
-    assert payload["oracle_mismatches"] is None
-    assert payload["ok"] is True
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -488,9 +477,11 @@ def test_unknown_code_or_command(capsys):
     # the sweep stops at the decoder's radius
     (["exhaust", "o36", "--max-weight", "4"],
      "--max-weight: invalid choice"),
+    # the sweep always checks the oracle
+    (["exhaust", "o36", "--no-oracle"], "unrecognized arguments"),
 ], ids=["weight-above-n", "weight-negative", "trials-negative",
         "samples-negative", "exhaust-seed-negative",
-        "simulate-seed-negative", "max-weight-above-3"])
+        "simulate-seed-negative", "max-weight-above-3", "no-oracle"])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
