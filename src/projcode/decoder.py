@@ -14,7 +14,7 @@ read.  Any other word reads one syndrome, the code's own over
 ``projection_checks``, from the code's byte tables in the frame of
 ``DecoderContext.syndrome_packed``.  Its bits 8 to m + 6, the parities
 of adjacent column pairs, give the parity pattern up to complement, so
-they index the context's entry for M.  The last check row, the first row
+they index the code's entry for M.  The last check row, the first row
 plus column 1 for O, asks a first-row parity of pi for O and 0 for E.
 
 The error in column c projects to a coefficient e_c, and the syndrome's
@@ -27,7 +27,7 @@ decodes every case:
    unique: one byte of M's solve table, UNSOLVABLE for none.
 2. Repair.  A repaired column's error projects to e_c; it is one bit in
    a minority column, the first entry only for e_c = 0, and two bits in
-   x.  The context holds these errors shifted into place, so the byte
+   x.  The entries hold these errors shifted into place, so the byte
    picks at most three to OR, and the repaired word meets every check
    row but perhaps the last.  If one membership read finds no codeword,
    x, or else a lone minority column, swaps its error for the complement
@@ -141,29 +141,68 @@ _REFUSED_PARITY = DecodeOutcome(False, reason=FAIL_PARITY)
 _REFUSED_UNCORRECTABLE = DecodeOutcome(False, reason=FAIL_UNCORRECTABLE)
 
 
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_ENTRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
-    """The solve tables of ``c4`` by minority set, built once for its O
-    and E contexts and kept in ``_TABLES``, weakly keyed, while the code
-    lives: M = (), each (i,), each pair from its 16 coefficient sums, and
-    the triples that extend a pair, each from a copy of the pair's table.
-    Byte s of M's table is the decomposition of the syndrome s over M,
-    UNSOLVABLE for none: e1 << 4 | e2 << 2 | e3 for a triple, with e3 = 0
-    for a pair, and for M of at most one column i plus one other column
-    x, (3 (x - 1) + ex) << 2 | e1, 0 for no x: below UNSOLVABLE for
-    m <= 16.  H is a cap, so each decomposition is unique."""
-    if c4 in _TABLES:
-        return _TABLES[c4]
+def _column_repairs(m: int) -> tuple[list, ...]:
+    """Column c's odd (minority) repairs in place, by coefficient e: the
+    error projecting to e, first entry set only for e = 0; its 1111; and by
+    3 (x - 1) + ex, 0 for no x, an extra column x's even repairs and 1111."""
+    odd, masks, even, even_mask = [(0,)], [0], [0], [0]
+    for c in range(1, m + 1):
+        at = 4 * (m - c)
+        masks.append(0b1111 << at)
+        odd.append(tuple(select_candidate(e, 1, not e) << at
+                         for e in gf4.ELEMENTS))
+        for e in gf4.NONZERO:
+            even.append(select_candidate(e, 0, 0) << at)
+            even_mask.append(masks[c])
+    return odd, masks, even, even_mask
+
+
+def _entries(c4: QuaternaryCode, repairs: tuple) -> list[tuple | None]:
+    """The entries of ``c4``'s minority sets by slot, built in one pass
+    with the first context's column repairs and kept in ``_ENTRIES``,
+    weakly keyed, while the code lives.  Byte s of M's solve table is the
+    decomposition of the syndrome s over M, UNSOLVABLE for none:
+    e1 << 4 | e2 << 2 | e3 for a triple, with e3 = 0 for a pair, and for
+    M of at most one column i plus one other column x,
+    (3 (x - 1) + ex) << 2 | e1, 0 for no x: below UNSOLVABLE for m <= 16.
+    H is a cap, so each decomposition is unique."""
+    if c4 in _ENTRIES:
+        return _ENTRIES[c4]
     colmul, m = c4.colmul, c4.m
     blank = bytes([UNSOLVABLE]) * 256
+    # What decode needs of each minority set M of at most three columns,
+    # in the slot that the syndrome's adjacent-column-pair bits give: bit j
+    # is the parity of columns j + 1 and j + 2, so M's slot is P ^ P >> 1
+    # for P the sum of 1 << c - 1 over M.  Slots of patterns with p > 3 or
+    # a tie stay empty; decode refuses those first.  An entry is (m, p,
+    # table, a, b, c, last): M's solve table and the repairs its byte
+    # picks.  When p >= 2, a, b and c are the odd repairs of M's columns,
+    # c (0,) for a pair; when p <= 1, a and b are the even repairs and
+    # their columns' 1111, and c is the minority column's odd repairs, (0,)
+    # for M = ().  ``last``, which takes a first-row flip that the repaired
+    # word still owes its last check row, is the minority column's 1111
+    # when p = 1 and 0 otherwise: at p >= 2 its complement would make an
+    # error of weight 4 or more.
+    entries: list[tuple | None] = [None] * (1 << m - 1)
+    odd, masks, even, even_mask = repairs
     # ex H_x and its byte's high bits, for each x and nonzero ex
-    extra = []
-    for x in range(1, m + 1):
-        for ex in gf4.NONZERO:
-            extra.append((colmul[x][ex], 3 * (x - 1) + ex << 2))
-    tables = {}
+    extra = [(colmul[x][ex], 3 * (x - 1) + ex << 2)
+             for x in range(1, m + 1) for ex in gf4.NONZERO]
+
+    def put(minority: tuple[int, ...], table: bytearray) -> None:
+        p = len(minority)
+        if 2 * p < m:       # else a tie, or the complement is the minority
+            pattern = sum(1 << col - 1 for col in minority)
+            # sum(minority) is M's column when p <= 1, 0 for M = ()
+            picked = ((even, even_mask, odd[sum(minority)]) if p < 2
+                      else [odd[col] for col in (*minority, 0)][:3])
+            entries[(pattern ^ pattern >> 1) & len(entries) - 1] = (
+                m, p, bytes(table), *picked,
+                masks[minority[0]] if p == 1 else 0)
+
     for i in range(m + 1):
         # M = (i,), whose column is no x, or M = () for i = 0
         table = bytearray(blank)
@@ -172,16 +211,17 @@ def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
             table[s1] = e1
             for s, code in others:
                 table[s1 ^ s] = code | e1
-        tables[(i,) if i else ()] = bytes(table)
+        put((i,) if i else (), table)
     for i, j in combinations(range(1, m + 1), 2):
-        # the 16 sums e1 H_i + e2 H_j and their bytes
+        # each pair from its 16 coefficient sums, then the triples that
+        # extend it, each from a copy of the pair's table
         sums = [(si ^ sj, e1 << 4 | e2 << 2)
                 for e1, si in enumerate(colmul[i])
                 for e2, sj in enumerate(colmul[j])]
-        table = bytearray(blank)
+        pair = bytearray(blank)
         for s, code in sums:
-            table[s] = code
-        pair = tables[i, j] = bytes(table)
+            pair[s] = code
+        put((i, j), pair)
         for k in range(j + 1, m + 1):
             _, k1, k2, k3 = colmul[k]
             table = bytearray(pair)
@@ -189,8 +229,8 @@ def _solve_tables(c4: QuaternaryCode) -> dict[tuple[int, ...], bytes]:
                 table[s ^ k1] = code | 1
                 table[s ^ k2] = code | 2
                 table[s ^ k3] = code | 3
-            tables[i, j, k] = bytes(table)
-    return _TABLES.setdefault(c4, tables)
+            put((i, j, k), table)
+    return _ENTRIES.setdefault(c4, entries)
 
 
 class DecoderContext:
@@ -214,51 +254,9 @@ class DecoderContext:
         self._refused_counts = sum(1 << y for y in range(m + 1)
                                    if min(y, m - y) > 3 or 2 * y == m)
         self._key_mask = (1 << m - 1) - 1
-        # Column c's odd (minority) repairs shifted into place, by
-        # coefficient e: the error projecting to e, with its first entry set
-        # only for e = 0.  The even repairs of an extra column x and its
-        # 1111, which takes an owed flip, by 3 (x - 1) + ex as a solve-table
-        # byte numbers them, 0 for no x.
-        self._odd_repair: list[tuple[int, ...]] = [(0,)]
-        self._even_repair = [0]
-        self._even_mask = [0]
-        masks = [0]
-        for c in range(1, m + 1):
-            at = 4 * (m - c)
-            masks.append(0b1111 << at)
-            self._odd_repair.append(tuple(select_candidate(e, 1, not e) << at
-                                          for e in gf4.ELEMENTS))
-            for e in gf4.NONZERO:
-                self._even_repair.append(select_candidate(e, 0, 0) << at)
-                self._even_mask.append(masks[c])
-        # What decode needs of each minority set M of at most three columns,
-        # in the slot that the syndrome's adjacent-column-pair bits give:
-        # bit j is the parity of columns j + 1 and j + 2, so M's slot is
-        # P ^ P >> 1 for P the sum of 1 << c - 1 over M.  Slots of patterns
-        # with p > 3 or a tie stay empty; decode refuses those first.
-        # An entry is (m, p, table, a, b, c, last): M's solve table,
-        # shared by the O and E contexts, and the repairs its byte picks.
-        # When p >= 2, a, b and c are the odd repairs of M's columns, c
-        # (0,) for a pair; when p <= 1, a and b are ``_even_repair`` and
-        # ``_even_mask`` and c is the minority column's odd repairs, (0,)
-        # for M = ().  ``last``, which takes a first-row flip that the
-        # repaired word still owes its last check row, is the minority
-        # column's 1111 when p = 1 and 0 otherwise: at p >= 2 its
-        # complement would make an error of weight 4 or more.  No entry
-        # depends on the variant.
-        odd = self._odd_repair
-        self._profiles: list[tuple | None] = [None] * (1 << m - 1)
-        for minority, table in _solve_tables(c4).items():
-            p = len(minority)
-            if 2 * p >= m:      # a tie, or the complement is the minority
-                continue
-            pattern = sum(1 << col - 1 for col in minority)
-            # sum(minority) is M's column when p <= 1, 0 for M = (); a
-            # pair's c is odd[0] = (0,)
-            repairs = ((self._even_repair, self._even_mask, odd[sum(minority)])
-                       if p < 2 else [odd[col] for col in (*minority, 0)][:3])
-            self._profiles[(pattern ^ pattern >> 1) & self._key_mask] = (
-                m, p, table, *repairs, masks[minority[0]] if p == 1 else 0)
+        # the O and E contexts share the entries; each builds the column
+        # repairs, a traced benchmark span, and the first's go into them
+        self._profiles = _entries(c4, _column_repairs(m))
 
     def syndrome_packed(self, word: int) -> int:
         """The code's syndrome; its low byte is the projection's.  Read

@@ -14,7 +14,7 @@ import pytest
 import projcode
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, rank, xor_span
-from projcode.decoder import DecoderContext
+from projcode.decoder import DecoderContext, _column_repairs, _entries
 from projcode.projection import (NIBBLE_VALUE, ParityProfile, Variant,
                                  projection_checks)
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
@@ -121,6 +121,31 @@ def cap_columns() -> tuple[tuple[int, ...], ...]:
             columns.append(col)
     assert len(columns) == 17
     return tuple(columns)
+
+
+def coset_representatives(code: BinaryLinearCode) -> list[int]:
+    """The 2^(n-k) words supported on the non-pivot coordinates: the pivots
+    are an information set, so each coset holds exactly one of them."""
+    pivots = set(code._pivots)
+    reps = [0]
+    for c in range(code.n):
+        if c not in pivots:
+            bit = 1 << (code.n - 1 - c)
+            reps += [r | bit for r in reps]
+    return reps
+
+
+def entry_slot(m: int, minority: tuple[int, ...]) -> int:
+    """The slot of a minority set's decoder entry: P ^ P >> 1, the parities
+    of adjacent column pairs, for P the sum of 1 << c - 1 over its
+    columns, taken on the m - 1 bits of the syndrome that hold them."""
+    pattern = sum(1 << c - 1 for c in minority)
+    return (pattern ^ pattern >> 1) & (1 << m - 1) - 1
+
+
+def solve_table(c4: QuaternaryCode, minority: tuple[int, ...]) -> bytes:
+    """The solve table of ``minority``, read from its entry's slot."""
+    return _entries(c4, _column_repairs(c4.m))[entry_slot(c4.m, minority)][2]
 
 
 def systematic_c4(name: str, columns) -> QuaternaryCode:

@@ -3,10 +3,11 @@
 Each test both asserts its criterion and records a PASS/FAIL line; the
 collected lines are echoed in a terminal section after the run, so the
 ten verdicts are visible even with output capture on.  The full suite
-(302 tests) ran in 24-36 s on a 2-vCPU shared host with Python 3.11.7,
+(303 tests) ran in 32 s on a 2-vCPU shared host with Python 3.11.7,
 about half of it in criterion 6, four ``projcode exhaust`` sweeps of
-7,440,216 decode+oracle pairs in all, and most of the rest in criterion
-10's sweep over every coset of the four codes.
+7,440,216 decode+oracle pairs in all, and most of the rest in two sweeps
+over every coset of the four codes: criterion 10's and the shifted-coset
+hash in ``test_decoder``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from projcode.projection import has_projection
 from projcode.quaternary import c4_9, c4_10
 
 from conftest import (ACCEPTANCE_LINES, BINARY_IDS, BRANCH_ERRORS,
-                      code_equal, enumerated_has_projection, plant,
-                      word_from_rows)
+                      code_equal, coset_representatives,
+                      enumerated_has_projection, plant, word_from_rows)
 from golden import (COSET_BRANCHES_O36, COSET_OUTCOMES_SHA256,
                     COSET_REFUSAL_REASONS, COSET_REFUSALS_O36,
                     DECODE_EXAMPLES, GEN_E36, GEN_E40, GEN_O36, GEN_O40,
@@ -187,18 +188,6 @@ def test_criterion_9_branch_coverage(contexts):
            ok, f"{len(seen)}/{len(BRANCHES)} branches")
 
 
-def _coset_representatives(code: BinaryLinearCode) -> list[int]:
-    """The 2^(n-k) words supported on the non-pivot coordinates: the pivots
-    are an information set, so each coset holds exactly one of them."""
-    pivots = set(code._pivots)
-    reps = [0]
-    for c in range(code.n):
-        if c not in pivots:
-            bit = 1 << (code.n - 1 - c)
-            reps += [r | bit for r in reps]
-    return reps
-
-
 # the (entry, byte) pairs that a solve table solves, by m, in either variant
 SOLVABLE_PAIRS = {9: 6880, 10: 9551}
 
@@ -224,7 +213,7 @@ def test_criterion_10_every_coset(contexts, monkeypatch):
     for code_id in BINARY_IDS:
         ctx = contexts[code_id]
         oracle = CosetTable(ctx.binary_code).decode
-        reps = _coset_representatives(ctx.binary_code)
+        reps = coset_representatives(ctx.binary_code)
         hits = mismatches = 0
         reasons: Counter = Counter()
         branches: Counter = Counter()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import hashlib
 import itertools
 import math
 import pickle
@@ -16,16 +17,16 @@ from hypothesis import strategies as st
 from projcode import DecodeOutcome, gf4
 from projcode.bitlin import BinaryLinearCode, CosetTable
 from projcode.decoder import (BRANCHES, FAIL_PARITY, FAIL_UNCORRECTABLE,
-                              UNSOLVABLE, DecoderContext, _solve_tables,
-                              decode)
+                              UNSOLVABLE, DecoderContext, decode)
 from projcode.projection import Variant, project, select_candidate
 from projcode.quaternary import QuaternaryCode, c4_9, c4_10
 
 from conftest import (BINARY_IDS, BRANCH_ERRORS, cap_columns,
-                      check_parities, make_context, minority_columns, plant,
+                      check_parities, coset_representatives, entry_slot,
+                      make_context, minority_columns, plant,
                       reference_parity_profile, systematic_c4,
                       word_from_rows)
-from golden import DECODE_EXAMPLES
+from golden import DECODE_EXAMPLES, SHIFTED_COSET_OUTCOMES_SHA256
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,6 +388,26 @@ def test_decode_commutes_with_codeword_shift(data):
         assert shifted.trace.profile.p == base.trace.profile.p
 
 
+def test_every_shifted_coset_keeps_its_outcome_hash(contexts):
+    # the equivalence check of a change to decode, kept with its seed:
+    # every coset representative of the four codes, shifted by a codeword
+    # from one random.Random(0) stream, hashed over repr((ok, codeword,
+    # error, reason, trace)) as criterion 10 hashes the unshifted ones
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    words = 0
+    for code_id in BINARY_IDS:
+        ctx = contexts[code_id]
+        code = ctx.binary_code
+        for y in coset_representatives(code):
+            out = decode(ctx, y ^ code.encode(rng.getrandbits(code.k)))
+            digest.update(repr((out.ok, out.codeword, out.error, out.reason,
+                                out.trace)).encode())
+            words += 1
+    assert words == 786_432
+    assert digest.hexdigest() == SHIFTED_COSET_OUTCOMES_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the outcome contract
 
@@ -528,34 +549,31 @@ def test_state_is_one_entry_per_minority_set(code_id, values):
     assert len({id(info) for info in ctx._profiles}) == values
     filled = [info for info in ctx._profiles if info is not None]
     assert len({id(info) for info in filled}) == len(filled) == values - 1
-    # each minority set's entry holds its solve table, the one object that
-    # the other variant's context of the same code holds, the repairs its
+    # each minority set's entry holds its solve table, the repairs its
     # byte picks and the column that takes an owed flip: no field depends
-    # on the variant, so the two contexts' entries are equal slot by slot
+    # on the variant, so the other variant's context of the same code
+    # holds the one entry list
     other = make_context(("e" if code_id[0] == "o" else "o") + code_id[1:])
-    assert other._profiles == ctx._profiles
-    tables = _solve_tables(ctx.c4)
+    assert other._profiles is ctx._profiles
     m, columns = ctx.m, range(1, ctx.m + 1)
-    for p in range(4):
-        for minority in itertools.combinations(columns, p):
-            pattern = sum(1 << c - 1 for c in minority)
-            slot = (pattern ^ pattern >> 1) & (1 << m - 1) - 1
-            entry = ctx._profiles[slot]
-            _, _, table, a, b, c, last = entry
-            assert entry[:2] == (m, p)
-            assert table is other._profiles[slot][2]
-            assert table is tables[minority]
-            assert last == (0b1111 << 4 * (m - minority[0]) if p == 1
-                            else 0)
-            if p == 2:
-                assert (a, b, c) == (*(ctx._odd_repair[col]
-                                       for col in minority), (0,))
-            elif p == 3:
-                assert (a, b, c) == tuple(ctx._odd_repair[col]
-                                          for col in minority)
-            else:
-                assert (a, b) == (ctx._even_repair, ctx._even_mask)
-                assert c == (ctx._odd_repair[minority[0]] if p else (0,))
+    entries = {minority: ctx._profiles[entry_slot(m, minority)]
+               for p in range(4)
+               for minority in itertools.combinations(columns, p)}
+    # a single column's entry holds that column's odd repairs as its c,
+    # and every entry of p <= 1 the empty set's even repairs and masks
+    odd = {col: entries[col,][5] for col in columns}
+    for minority, entry in entries.items():
+        p = len(minority)
+        _, _, _, a, b, c, last = entry
+        assert entry[:2] == (m, p)
+        assert last == (0b1111 << 4 * (m - minority[0]) if p == 1 else 0)
+        if p == 2:
+            assert (a, b, c) == (*(odd[col] for col in minority), (0,))
+        elif p == 3:
+            assert (a, b, c) == tuple(odd[col] for col in minority)
+        else:
+            assert a is entries[()][3] and b is entries[()][4]
+            assert p or c == (0,)
 
 
 def _checked_repairs(ctx: DecoderContext) -> tuple[int, int]:
@@ -630,16 +648,19 @@ def test_every_solvable_byte_repairs_to_a_codeword_on_caps(m, variant):
 
 @pytest.mark.parametrize("code_id", BINARY_IDS)
 def test_repairs_are_positioned_candidates(code_id):
-    # column c's repairs with coefficient e are select_candidate's nibbles
-    # at the column's place in the word, and its mask is that place's 1111
+    # column c's repairs with coefficient e, read from its single-column
+    # entry, are select_candidate's nibbles at the column's place in the
+    # word, and its mask is that place's 1111
     ctx = _context(code_id)
     even = []
     for c in range(1, ctx.m + 1):
         at = 4 * (ctx.m - c)
-        for e in gf4.ELEMENTS:
-            assert ctx._odd_repair[c][e] == select_candidate(e, 1, not e) << at
+        odd = ctx._profiles[entry_slot(ctx.m, (c,))][5]
+        assert odd == tuple(select_candidate(e, 1, not e) << at
+                            for e in gf4.ELEMENTS)
         even += [(select_candidate(e, 0, 0) << at, 0b1111 << at)
                  for e in gf4.NONZERO]
-    # the even repairs and masks by 3 (c - 1) + e, as a solve-table byte
-    # numbers an extra column and its coefficient
-    assert list(zip(ctx._even_repair, ctx._even_mask)) == [(0, 0)] + even
+    # the even repairs and masks of the empty set's entry by 3 (c - 1) + e,
+    # as a solve-table byte numbers an extra column and its coefficient
+    _, _, _, repairs, masks, _, _ = ctx._profiles[0]
+    assert list(zip(repairs, masks)) == [(0, 0)] + even

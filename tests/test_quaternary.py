@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from projcode import gf4
 from projcode.bitlin import BinaryLinearCode, xor_span
-from projcode.decoder import (_TABLES, UNSOLVABLE, DecoderContext,
-                              _solve_tables)
+from projcode.decoder import _ENTRIES, UNSOLVABLE, DecoderContext
 from projcode.projection import Variant, construct
 from projcode.quaternary import (_G9, _G10, _H9, PHI_BLOCKS, QuaternaryCode,
                                  c4_9, c4_10, format_gf4_matrix,
                                  parse_gf4_matrix)
 
-from conftest import cap_columns, systematic_c4
+from conftest import cap_columns, solve_table, systematic_c4
 from golden import DECODE_EXAMPLES, QDIST_9, QDIST_10
 
 
@@ -121,13 +120,15 @@ def _vector(m: int, terms) -> list[int]:
 
 @pytest.mark.parametrize("code", [c4_9(), c4_10()], ids=lambda c: c.name)
 def test_solve_tables_are_keyed_by_column_set(code):
-    # one table for M = (), each single column, each pair and each triple
+    # one table for M = (), each single column, each pair and each triple,
+    # each in the slot of M's entry and no two the same object
     columns = range(1, code.m + 1)
-    tables = _solve_tables(code)
-    assert set(tables) == {
-        minority for p in range(4)
-        for minority in itertools.combinations(columns, p)}
-    assert len(tables) == sum(math.comb(code.m, p) for p in range(4))
+    tables = {minority: solve_table(code, minority) for p in range(4)
+              for minority in itertools.combinations(columns, p)}
+    filled = [entry for entry in _ENTRIES[code] if entry is not None]
+    assert len({id(table) for table in tables.values()}) == len(tables)
+    assert {id(entry[2]) for entry in filled} == set(map(id, tables.values()))
+    assert len(filled) == sum(math.comb(code.m, p) for p in range(4))
 
 
 def _check_table(table: bytes, solved: dict[int, int], count: int) -> None:
@@ -144,7 +145,6 @@ def test_match_single_column_exhaustive(code):
     # column x: e1 H_i + ex H_x packs as (3 (x - 1) + ex) << 2 | e1, with
     # 0 for no x, by the independent syndrome
     m = code.m
-    solve = _solve_tables(code)
     for minority in [()] + [(i,) for i in range(1, m + 1)]:
         solved = {}
         for e1 in gf4.ELEMENTS if minority else (0,):
@@ -157,12 +157,12 @@ def test_match_single_column_exhaustive(code):
                         assert s not in solved
                         solved[s] = (3 * (x - 1) + ex) << 2 | e1
         count = 4 * (1 + 3 * (m - 1)) if minority else 1 + 3 * m
-        _check_table(solve[minority], solved, count)
+        _check_table(solve_table(code, minority), solved, count)
 
 
 def test_match_single_column_rejects_double_errors(q9):
     # a sum of two distinct column multiples is never a single multiple
-    table = _solve_tables(q9)[()]
+    table = solve_table(q9, ())
     for (i, j) in itertools.combinations(range(1, 10), 2):
         assert table[q9.syndrome(_vector(9, [(i, 1), (j, 2)]))] == UNSOLVABLE
 
@@ -172,31 +172,29 @@ def test_solve_two_columns_exhaustive(code):
     # the p = 2 solve: every pair's 16 coefficient vectors, one byte each,
     # e1 << 4 | e2 << 2 with a third coefficient of 0
     m = code.m
-    solve = _solve_tables(code)
     for pair in itertools.combinations(range(1, m + 1), 2):
         solved = {}
         for e1, e2 in itertools.product(gf4.ELEMENTS, repeat=2):
             s = code.syndrome(_vector(m, zip(pair, (e1, e2))))
             solved[s] = e1 << 4 | e2 << 2
-        _check_table(solve[pair], solved, 16)
+        _check_table(solve_table(code, pair), solved, 16)
 
 
 def test_solve_three_columns_exhaustive(q9, q10):
     # the p = 3 solve: every triple's 64 coefficient vectors, one byte each
     for code in (q9, q10):
         m = code.m
-        solve = _solve_tables(code)
         for triple in itertools.combinations(range(1, m + 1), 3):
             solved = {}
             for e1, e2, e3 in itertools.product(gf4.ELEMENTS, repeat=3):
                 s = code.syndrome(_vector(m, zip(triple, (e1, e2, e3))))
                 solved[s] = e1 << 4 | e2 << 2 | e3
-            _check_table(solve[triple], solved, 64)
+            _check_table(solve_table(code, triple), solved, 64)
 
 
 def test_solve_columns_unsolvable(q9):
     # a pure column-4 multiple cannot be written on columns {1, 2}
-    byte = _solve_tables(q9)[1, 2][q9.syndrome(_vector(9, [(4, 2)]))]
+    byte = solve_table(q9, (1, 2))[q9.syndrome(_vector(9, [(4, 2)]))]
     assert byte == UNSOLVABLE
 
 
@@ -206,22 +204,24 @@ def test_codes_share_the_tables_of_common_triples(q9, q10):
     # tables, and the two agree on each pair and each triple of those
     # columns
     assert [h[:9] for h in q10.parity_check] == list(q9.parity_check)
-    solve10 = _solve_tables(q10)
-    shared = [(columns, table) for columns, table in _solve_tables(q9).items()
-              if len(columns) >= 2]
+    shared = [columns for p in (2, 3)
+              for columns in itertools.combinations(range(1, 10), p)]
     assert len(shared) == 36 + 84
-    for columns, table in shared:
-        assert table == solve10[columns]
+    for columns in shared:
+        table = solve_table(q9, columns)
+        assert table == solve_table(q10, columns)
+        assert table is not solve_table(q10, columns)
 
 
 def test_dropped_codes_leave_no_solve_tables():
     # the tables go with their code: after one warm build, the O and E
     # contexts of six caps of m = 11..16, 2,652 tables in all, leave less
-    # than 16 KB behind once dropped
+    # than 16 KB behind once dropped; each code's two contexts hold the one
+    # entry list that its store keeps, not equal copies
     def build_and_drop(m):
         c4 = systematic_c4(f"cap-{m}", cap_columns()[:m])
-        for variant in Variant:
-            DecoderContext(c4, variant)
+        o, e = (DecoderContext(c4, variant) for variant in Variant)
+        assert o._profiles is e._profiles is _ENTRIES[c4]
 
     build_and_drop(10)
     gc.collect()
@@ -238,23 +238,18 @@ def test_dropped_codes_leave_no_solve_tables():
 
 
 def test_solve_tables_wait_for_a_decoder():
-    # a fresh c4-9, its binary codes and their distributions build no solve
-    # table; the first decoder context does, and the next one shares them
+    # a fresh c4-9, its binary codes and their distributions build no entry
+    # list, and so no solve table; the first decoder context builds it, and
+    # the other variant's context holds that same list
     code = c4_9.__wrapped__()
     assert code is not c4_9()
     for variant in Variant:
         construct(code, variant).weight_distribution()
     code.weight_distribution()
-    assert code not in _TABLES
+    assert code not in _ENTRIES
     first = DecoderContext(code, Variant.O)
-    built = _TABLES[code]
-    second = DecoderContext(code, Variant.E)
-    assert _TABLES[code] is built and _solve_tables(code) is built
-    tables = {id(table) for table in built.values()}
-    for a, b in zip(first._profiles, second._profiles):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a[2] is b[2] and id(a[2]) in tables
+    assert _ENTRIES[code] is first._profiles
+    assert DecoderContext(code, Variant.E)._profiles is first._profiles
 
 
 def test_one_enumeration_per_code(monkeypatch):
